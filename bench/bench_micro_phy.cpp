@@ -7,9 +7,11 @@
 // legacy scalar paths, so the same binary measures before/after for the
 // fast-path comparison tables in docs/phy_fast_path.md.
 //
-// BM_WifiRx400B additionally reports allocs_per_iter — heap allocations
-// per steady-state frame decode, counted by the operator new/delete
-// overrides below. The fast path's contract is 0.
+// BM_WifiRx400B and the narrowband TX/RX benches additionally report
+// allocs_per_iter — heap allocations per steady-state iteration, counted
+// by the operator new/delete overrides below. The 802.11 fast path's
+// contract is 0; the narrowband receivers keep their per-sample buffers
+// in the workspace and allocate only small per-frame vectors.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -58,6 +60,16 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using namespace freerider;
+
+// Reports heap allocations per iteration of the timed loop; `before` is
+// g_alloc_count read just ahead of it.
+void ReportAllocsPerIter(benchmark::State& state, std::int64_t before) {
+  const std::int64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const auto iters = static_cast<std::int64_t>(state.iterations());
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(after - before) /
+      static_cast<double>(iters > 0 ? iters : 1));
+}
 
 void BM_Fft64(benchmark::State& state) {
   Rng rng(1);
@@ -186,13 +198,9 @@ void BM_WifiRx400B(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(&result);
   }
-  const std::int64_t allocs_after =
-      g_alloc_count.load(std::memory_order_relaxed);
+  ReportAllocsPerIter(state, allocs_before);
 
   const auto iters = static_cast<std::int64_t>(state.iterations());
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(allocs_after - allocs_before) /
-      static_cast<double>(iters > 0 ? iters : 1));
   state.SetItemsProcessed(iters);
   state.SetBytesProcessed(iters * 400);
 }
@@ -201,23 +209,55 @@ BENCHMARK(BM_WifiRx400B);
 void BM_ZigbeeTxRx60B(benchmark::State& state) {
   Rng rng(5);
   const Bytes payload = RandomBytes(rng, 60);
+  const std::int64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     phy802154::TxFrame frame = phy802154::BuildFrame(payload);
     phy802154::RxResult result = phy802154::ReceiveFrame(frame.waveform);
     benchmark::DoNotOptimize(&result);
   }
+  ReportAllocsPerIter(state, allocs_before);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 60);
 }
 BENCHMARK(BM_ZigbeeTxRx60B);
 
+// Receive-only decode of the longest 802.15.4 frame (125-byte payload,
+// 127-byte PSDU) from a noisy capture: the SHR scan grows with the
+// capture, so these frames set the ZigBee tail latency.
+void BM_ZigbeeRx125B(benchmark::State& state) {
+  Rng rng(9);
+  const phy802154::TxFrame frame =
+      phy802154::BuildFrame(RandomBytes(rng, 125));
+  channel::ReceiverFrontEnd fe;
+  fe.sample_rate_hz = phy802154::kSampleRateHz;
+  fe.noise_figure_db = 5.0;
+  IqBuffer padded(100, Cplx{0.0, 0.0});
+  padded.insert(padded.end(), frame.waveform.begin(), frame.waveform.end());
+  const IqBuffer rx = channel::ApplyLink(padded, -80.0, fe, rng);
+  phy802154::RxResult result = phy802154::ReceiveFrame(rx);  // warm-up
+
+  const std::int64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    result = phy802154::ReceiveFrame(rx);
+    benchmark::DoNotOptimize(&result);
+  }
+  ReportAllocsPerIter(state, allocs_before);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 125);
+}
+BENCHMARK(BM_ZigbeeRx125B);
+
 void BM_BleTxRx36B(benchmark::State& state) {
   Rng rng(6);
   const Bytes payload = RandomBytes(rng, 36);
+  const std::int64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     phyble::TxFrame frame = phyble::BuildFrame(payload);
     phyble::RxResult result = phyble::ReceiveFrame(frame.waveform);
     benchmark::DoNotOptimize(&result);
   }
+  ReportAllocsPerIter(state, allocs_before);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 36);
 }
 BENCHMARK(BM_BleTxRx36B);

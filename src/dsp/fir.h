@@ -12,15 +12,32 @@
 
 namespace freerider::dsp {
 
-/// Direct-form FIR filter over complex samples with real taps.
+/// Direct-form FIR filter with real taps over complex or real samples.
 /// `Filter` is stateless (one-shot over a buffer, zero-padded edges);
 /// for streaming use, keep your own overlap.
+///
+/// Every output is one accumulation chain per component, starting at
+/// 0.0 and adding taps[k] * x[n + taps/2 - k] for in-range k in
+/// ascending k order. Outputs whose taps all land inside the input run
+/// without bounds checks, blocked across adjacent outputs so the
+/// compiler vectorizes them; only the taps/2 edge samples at each end
+/// keep the checked loop. The chain per output is the same either way,
+/// so the doubles do not depend on where an output falls.
 class FirFilter {
  public:
   explicit FirFilter(std::vector<double> taps);
 
   /// y[n] = sum_k taps[k] * x[n-k], same length as input.
   IqBuffer Filter(std::span<const Cplx> input) const;
+
+  /// Allocation-free Filter: writes into `out` (resized to the input
+  /// length), which must not alias `input`.
+  void FilterInto(std::span<const Cplx> input, IqBuffer& out) const;
+
+  /// Real-input form: the same doubles as the real part of Filter on
+  /// {x, 0} samples, at half the work. `out` must not alias `input`.
+  void FilterInto(std::span<const double> input,
+                  std::vector<double>& out) const;
 
   const std::vector<double>& taps() const { return taps_; }
 

@@ -17,9 +17,8 @@ void SplitComplex(std::span<const Cplx> input, std::vector<double>& re,
   }
 }
 
-double CorrelationPower(const double* x_re, const double* x_im,
-                        const double* p_re, const double* p_im,
-                        std::size_t len) {
+Cplx Correlation(const double* x_re, const double* x_im, const double* p_re,
+                 const double* p_im, std::size_t len) {
   // One sequential chain per component, the same expression shape the
   // blocked kernel uses per position — so a position computed here (the
   // scan remainder) and one computed inside a block produce the same
@@ -35,18 +34,18 @@ double CorrelationPower(const double* x_re, const double* x_im,
     cr += xr * pr + xi * pi;
     ci += xi * pr - xr * pi;
   }
-  return cr * cr + ci * ci;
+  return {cr, ci};
 }
 
-void CorrelationPowerX4(const double* x_re, const double* x_im,
-                        const double* p_re, const double* p_im,
-                        std::size_t len, double* out4) {
+void CorrelationX4(const double* x_re, const double* x_im, const double* p_re,
+                   const double* p_im, std::size_t len, double* re4,
+                   double* im4) {
   // Vectorized over *positions*: the four lanes are the four adjacent
   // scan offsets, so x loads are contiguous (no gather shuffles) and
   // each pattern element is loaded once and broadcast across the block.
   // Each position keeps a single sequential accumulation chain over k —
-  // identical, term for term, to CorrelationPower above — so blocking
-  // is purely a scheduling change, never a float-semantics change.
+  // identical, term for term, to Correlation above — so blocking is a
+  // scheduling change, never a float-semantics change.
   double cr[4] = {0.0, 0.0, 0.0, 0.0};
   double ci[4] = {0.0, 0.0, 0.0, 0.0};
   for (std::size_t k = 0; k < len; ++k) {
@@ -59,23 +58,27 @@ void CorrelationPowerX4(const double* x_re, const double* x_im,
       ci[j] += xi * pr - xr * pi;
     }
   }
-  for (int j = 0; j < 4; ++j) out4[j] = cr[j] * cr[j] + ci[j] * ci[j];
+  for (int j = 0; j < 4; ++j) {
+    re4[j] = cr[j];
+    im4[j] = ci[j];
+  }
 }
 
-void SlidingWindowEnergy64(const double* x_re, const double* x_im,
-                           std::size_t positions, std::vector<double>& out) {
+void SlidingWindowEnergy(const double* x_re, const double* x_im,
+                         std::size_t window, std::size_t positions,
+                         std::vector<double>& out) {
   out.resize(positions);
   if (positions == 0) return;
   // Same recurrence (and therefore the same doubles) as the legacy
-  // scalar scan: seed with the first window, then slide by adding the
+  // scalar scans: seed with the first window, then slide by adding the
   // entering sample and subtracting the leaving one.
   double acc = 0.0;
-  for (std::size_t n = 0; n < 64; ++n) {
+  for (std::size_t n = 0; n < window; ++n) {
     acc += x_re[n] * x_re[n] + x_im[n] * x_im[n];
   }
   out[0] = acc;
   for (std::size_t n = 1; n < positions; ++n) {
-    const std::size_t tail = n + 63;
+    const std::size_t tail = n + window - 1;
     acc += (x_re[tail] * x_re[tail] + x_im[tail] * x_im[tail]) -
            (x_re[n - 1] * x_re[n - 1] + x_im[n - 1] * x_im[n - 1]);
     out[n] = acc;

@@ -1,11 +1,13 @@
 // Per-thread scratch arena for the allocation-free RX fast path.
 //
 // Every buffer the 802.11 receive chain needs between "raw samples in"
-// and "decoded bits out" lives here, so the steady-state decode of a
-// frame performs zero heap allocations: each vector is resized (or
-// cleared and refilled) in place, and after the first frame through a
-// given workspace all capacities are warm. The workspace carries no
-// state between frames — every field is fully overwritten before it is
+// and "decoded bits out" lives here, as do the per-sample buffers of the
+// 802.15.4 and BLE receivers. Each vector is resized (or cleared and
+// refilled) in place, so once a workspace's capacities are warm,
+// steady-state 802.11 decode performs zero heap allocations and the
+// narrowband receivers allocate only small per-frame vectors (their
+// results and bit-level temporaries). The workspace carries no state
+// between frames — every field is fully overwritten before it is
 // read on each call — so reusing one workspace across frames is
 // bit-identical to using a fresh one (phy_fastpath_test pins this).
 //
@@ -24,14 +26,16 @@
 namespace freerider::dsp {
 
 struct Workspace {
-  // --- Preamble scan (SoA split + scan state) ---
-  std::vector<double> scan_re;      ///< Re of the rx buffer, SoA.
+  // --- Preamble scan (SoA split + scan state; 802.11 and 802.15.4) ---
+  std::vector<double> scan_re;      ///< Re of the rx buffer, SoA (BLE:
+                                    ///< discriminator output, Hz).
   std::vector<double> scan_im;      ///< Im of the rx buffer, SoA.
-  std::vector<double> win_energy;   ///< Sliding 64-sample window energy.
+  std::vector<double> win_energy;   ///< Sliding reference-window energy.
   std::vector<double> ncorr;        ///< Normalized correlation per position.
 
-  // --- Whole-buffer working copies (CFO mix output) ---
-  IqBuffer rx_work;                 ///< CFO-corrected receive buffer.
+  // --- Whole-buffer working copy of the receive buffer ---
+  /// 802.11: CFO-corrected; 802.15.4: phase-locked; BLE: channel-filtered.
+  IqBuffer rx_work;
 
   // --- Channel estimation / per-symbol demodulation ---
   IqBuffer chan;                    ///< 64-bin channel estimate.
@@ -53,6 +57,9 @@ struct Workspace {
 
   // --- Viterbi scratch ---
   std::vector<std::uint8_t> vit_decisions;  ///< steps x 64 survivor bytes.
+
+  // --- 802.15.4 despreading ---
+  BitVector chips;                  ///< Hard chips of one PHR/PSDU field.
 };
 
 /// The calling thread's lazily-constructed scratch arena.

@@ -120,8 +120,8 @@ Detection DetectPreambleFast(std::span<const Cplx> rx, double threshold,
   const std::size_t positions = rx.size() - kFftSize + 1;
 
   dsp::SplitComplex(rx, ws.scan_re, ws.scan_im);
-  dsp::SlidingWindowEnergy64(ws.scan_re.data(), ws.scan_im.data(), positions,
-                             ws.win_energy);
+  dsp::SlidingWindowEnergy(ws.scan_re.data(), ws.scan_im.data(), kFftSize,
+                           positions, ws.win_energy);
 
   ws.ncorr.assign(positions, 0.0);
   const double* re = ws.scan_re.data();
@@ -142,20 +142,23 @@ Detection DetectPreambleFast(std::span<const Cplx> rx, double threshold,
         we[n + 3] <= 0.0) {
       continue;
     }
-    double power[4];
-    dsp::CorrelationPowerX4(re + n, im + n, ltf.re.data(), ltf.im.data(),
-                            kFftSize, power);
+    double cr[4];
+    double ci[4];
+    dsp::CorrelationX4(re + n, im + n, ltf.re.data(), ltf.im.data(), kFftSize,
+                       cr, ci);
     for (std::size_t j = 0; j < 4; ++j) {
       const double e = we[n + j];
       if (e <= 0.0) continue;
-      nc[n + j] = std::sqrt(power[j]) / std::sqrt(e * ltf.energy);
+      const double power = cr[j] * cr[j] + ci[j] * ci[j];
+      nc[n + j] = std::sqrt(power) / std::sqrt(e * ltf.energy);
     }
   }
   for (; n < positions; ++n) {
     const double e = we[n];
     if (e <= 0.0) continue;
-    const double power = dsp::CorrelationPower(re + n, im + n, ltf.re.data(),
-                                               ltf.im.data(), kFftSize);
+    const Cplx c = dsp::Correlation(re + n, im + n, ltf.re.data(),
+                                    ltf.im.data(), kFftSize);
+    const double power = c.real() * c.real() + c.imag() * c.imag();
     nc[n] = std::sqrt(power) / std::sqrt(e * ltf.energy);
   }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/crc.h"
+#include "dsp/kernels.h"
 #include "dsp/signal_ops.h"
 #include "phy802154/chips.h"
 #include "phy802154/oqpsk.h"
@@ -21,11 +22,23 @@ std::vector<std::uint8_t> ShrSymbols() {
 }
 
 // Reference waveform of the SHR tail used for detection & phase lock:
-// the last two preamble symbols plus the SFD (4 symbols, 512 samples).
-const IqBuffer& DetectionReference() {
-  static const IqBuffer ref = [] {
+// the last two preamble symbols plus the SFD (4 symbols, 512 samples
+// plus the last pulse's tail), split into SoA form once. `energy` keeps
+// the legacy detector's sequential std::norm sum.
+struct ShrReference {
+  std::vector<double> re;
+  std::vector<double> im;
+  double energy = 0.0;
+};
+
+const ShrReference& DetectionReference() {
+  static const ShrReference ref = [] {
     const std::vector<std::uint8_t> symbols = {0, 0, 0x7, 0xA};
-    return ModulateChips(SpreadSymbols(symbols));
+    const IqBuffer wave = ModulateChips(SpreadSymbols(symbols));
+    ShrReference r;
+    dsp::SplitComplex(wave, r.re, r.im);
+    for (const Cplx& x : wave) r.energy += std::norm(x);
+    return r;
   }();
   return ref;
 }
@@ -61,85 +74,105 @@ double FrameDurationS(const TxFrame& frame) {
   return static_cast<double>(frame.waveform.size()) / kSampleRateHz;
 }
 
+ShrPeak FindShr(std::span<const Cplx> rx, dsp::Workspace& ws) {
+  const ShrReference& ref = DetectionReference();
+  const std::size_t len = ref.re.size();
+  ShrPeak peak;
+  if (rx.size() < len) return peak;
+  const std::size_t positions = rx.size() - len + 1;
+
+  dsp::SplitComplex(rx, ws.scan_re, ws.scan_im);
+  dsp::SlidingWindowEnergy(ws.scan_re.data(), ws.scan_im.data(), len,
+                           positions, ws.win_energy);
+  const double* re = ws.scan_re.data();
+  const double* im = ws.scan_im.data();
+  const double* we = ws.win_energy.data();
+
+  // Windows without energy have no normalized correlation and are
+  // skipped; positions are visited in ascending order and only a
+  // strictly higher peak replaces the best, so the first maximum wins.
+  auto consider = [&](std::size_t n, Cplx c) {
+    const double e = we[n];
+    if (!(e > 0.0)) return;
+    const double ncorr = std::abs(c) / std::sqrt(e * ref.energy);
+    if (ncorr > peak.ncorr) peak = {ncorr, n, c};
+  };
+  std::size_t n = 0;
+  for (; n + 4 <= positions; n += 4) {
+    if (!(we[n] > 0.0) && !(we[n + 1] > 0.0) && !(we[n + 2] > 0.0) &&
+        !(we[n + 3] > 0.0)) {
+      continue;
+    }
+    double cr[4];
+    double ci[4];
+    dsp::CorrelationX4(re + n, im + n, ref.re.data(), ref.im.data(), len, cr,
+                       ci);
+    for (std::size_t j = 0; j < 4; ++j) consider(n + j, Cplx{cr[j], ci[j]});
+  }
+  for (; n < positions; ++n) {
+    if (!(we[n] > 0.0)) continue;
+    consider(n, dsp::Correlation(re + n, im + n, ref.re.data(),
+                                 ref.im.data(), len));
+  }
+  return peak;
+}
+
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
   RxResult result;
-  const IqBuffer& ref = DetectionReference();
-  if (rx.size() < ref.size() + kSamplesPerSymbol) return result;
+  if (rx.size() < DetectionReference().re.size() + kSamplesPerSymbol) {
+    return result;
+  }
+  dsp::Workspace& ws = dsp::ThreadLocalWorkspace();
 
   // Normalized cross-correlation against the SHR tail.
-  const std::size_t positions = rx.size() - ref.size() + 1;
-  double ref_energy = 0.0;
-  for (const Cplx& x : ref) ref_energy += std::norm(x);
-
-  double best = 0.0;
-  std::size_t best_pos = 0;
-  Cplx best_corr{0.0, 0.0};
-  double window_energy = 0.0;
-  for (std::size_t n = 0; n < ref.size(); ++n) window_energy += std::norm(rx[n]);
-  for (std::size_t n = 0; n < positions; ++n) {
-    if (n > 0) {
-      window_energy +=
-          std::norm(rx[n + ref.size() - 1]) - std::norm(rx[n - 1]);
-    }
-    if (window_energy > 0.0) {
-      Cplx c{0.0, 0.0};
-      for (std::size_t k = 0; k < ref.size(); ++k) {
-        c += rx[n + k] * std::conj(ref[k]);
-      }
-      const double ncorr = std::abs(c) / std::sqrt(window_energy * ref_energy);
-      if (ncorr > best) {
-        best = ncorr;
-        best_pos = n;
-        best_corr = c;
-      }
-    }
-  }
-  if (best < config.detection_threshold) return result;
+  const ShrPeak peak = FindShr(rx, ws);
+  if (peak.ncorr < config.detection_threshold) return result;
+  const std::size_t best_pos = peak.position;
   result.detected = true;
   result.start_index = best_pos;
 
   // Phase lock: derotate by the correlation phase.
-  const double phase = std::arg(best_corr);
-  IqBuffer locked = dsp::RotatePhase(rx, -phase);
+  const double phase = std::arg(peak.corr);
+  const IqBuffer& locked = ws.rx_work;
+  dsp::RotatePhaseInto(rx, -phase, ws.rx_work);
 
   // PHR starts right after the SFD. The detection reference covers 4
   // symbols; its start is 2 preamble symbols before the SFD.
   const std::size_t phr_start = best_pos + 4 * kSamplesPerSymbol;
 
   // Decode PHR (2 symbols = 1 byte).
-  const BitVector phr_chips =
-      DemodulateChips(locked, phr_start, 2 * kChipsPerSymbol);
-  if (phr_chips.size() < 2 * kChipsPerSymbol) return result;
-  std::vector<std::uint8_t> symbols;
+  BitVector& chips = ws.chips;
+  DemodulateChipsInto(locked, phr_start, 2 * kChipsPerSymbol, chips);
+  if (chips.size() < 2 * kChipsPerSymbol) return result;
+  std::uint8_t phr_symbols[2];
   double chip_distance_sum = 0.0;
   for (std::size_t s = 0; s < 2; ++s) {
     const DespreadResult d = DespreadChips(
-        std::span<const Bit>(phr_chips).subspan(s * kChipsPerSymbol,
-                                                kChipsPerSymbol));
-    symbols.push_back(d.symbol);
+        std::span<const Bit>(chips).subspan(s * kChipsPerSymbol,
+                                            kChipsPerSymbol));
+    phr_symbols[s] = d.symbol;
     chip_distance_sum += d.distance;
   }
-  const std::size_t psdu_len = SymbolsToBytes(symbols)[0] & 0x7Fu;
+  const std::size_t psdu_len = SymbolsToBytes(phr_symbols)[0] & 0x7Fu;
   if (psdu_len < 2 || psdu_len > kMaxPsduBytes) return result;
   result.psdu_len = psdu_len;
 
   // Decode PSDU symbols.
   const std::size_t psdu_symbols = psdu_len * 2;
   const std::size_t psdu_start = phr_start + 2 * kSamplesPerSymbol;
-  const BitVector chips =
-      DemodulateChips(locked, psdu_start, psdu_symbols * kChipsPerSymbol);
+  DemodulateChipsInto(locked, psdu_start, psdu_symbols * kChipsPerSymbol,
+                      chips);
   if (chips.size() < psdu_symbols * kChipsPerSymbol) return result;
-  std::vector<std::uint8_t> payload_symbols;
+  result.data_symbols.reserve(2 + psdu_symbols);
+  result.data_symbols.assign(phr_symbols, phr_symbols + 2);
   for (std::size_t s = 0; s < psdu_symbols; ++s) {
     const DespreadResult d = DespreadChips(std::span<const Bit>(chips).subspan(
         s * kChipsPerSymbol, kChipsPerSymbol));
-    payload_symbols.push_back(d.symbol);
+    result.data_symbols.push_back(d.symbol);
     chip_distance_sum += d.distance;
   }
-  result.psdu = SymbolsToBytes(payload_symbols);
-  result.data_symbols = symbols;
-  result.data_symbols.insert(result.data_symbols.end(), payload_symbols.begin(),
-                             payload_symbols.end());
+  result.psdu = SymbolsToBytes(
+      std::span<const std::uint8_t>(result.data_symbols).subspan(2));
   result.mean_chip_distance =
       chip_distance_sum / static_cast<double>(2 + psdu_symbols);
 

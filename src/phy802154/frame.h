@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dsp/workspace.h"
 #include "phy802154/params.h"
 
 namespace freerider::phy802154 {
@@ -44,7 +45,23 @@ struct RxResult {
   std::size_t start_index = 0;
 };
 
+/// Receive one frame. Scratch comes from the calling thread's
+/// dsp::ThreadLocalWorkspace().
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config = {});
+
+/// Peak of the SHR detection scan.
+struct ShrPeak {
+  double ncorr = 0.0;        ///< Best normalized correlation (0: none).
+  std::size_t position = 0;  ///< Sample where the SHR tail starts.
+  Cplx corr{0.0, 0.0};       ///< Raw correlation there (phase lock).
+};
+
+/// The detection scan ReceiveFrame runs: normalized cross-correlation
+/// |c| / sqrt(E_window * E_ref) of `rx` against the SHR tail (last two
+/// preamble symbols + SFD) at every position, returning the first
+/// highest peak. Zero-energy windows are skipped; a buffer shorter than
+/// the reference gives a zero peak. Scratch lives in `ws`.
+ShrPeak FindShr(std::span<const Cplx> rx, dsp::Workspace& ws);
 
 /// Airtime of a frame in seconds.
 double FrameDurationS(const TxFrame& frame);

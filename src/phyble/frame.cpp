@@ -1,31 +1,34 @@
 #include "phyble/frame.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "common/bits.h"
 #include "common/crc.h"
 #include "dsp/signal_ops.h"
+#include "dsp/workspace.h"
 #include "phyble/gfsk.h"
 #include "phyble/whitening.h"
 
 namespace freerider::phyble {
 namespace {
 
-BitVector HeaderBits(std::uint32_t access_address) {
-  BitVector bits;
-  bits.reserve(kPreambleBits + kAccessAddressBits);
+constexpr std::size_t kHeaderBits = kPreambleBits + kAccessAddressBits;
+
+std::array<Bit, kHeaderBits> HeaderBits(std::uint32_t access_address) {
+  std::array<Bit, kHeaderBits> bits{};
   // Preamble: alternating, starting with the complement of AA bit 0 is
   // the spec's rule; BLE 1M preamble is 0xAA or 0x55 so the last
   // preamble bit differs from AA LSB. AA 0x8E89BED6 has LSB 0 -> use
   // 01010101 pattern ending in 1? We keep the fixed 10101010 (LSB
   // first of 0x55): receivers here correlate the whole 40 bits anyway.
   for (std::size_t i = 0; i < kPreambleBits; ++i) {
-    bits.push_back(static_cast<Bit>(i % 2 == 0));
+    bits[i] = static_cast<Bit>(i % 2 == 0);
   }
   for (std::size_t i = 0; i < kAccessAddressBits; ++i) {
-    bits.push_back(static_cast<Bit>((access_address >> i) & 1u));
+    bits[kPreambleBits + i] = static_cast<Bit>((access_address >> i) & 1u);
   }
   return bits;
 }
@@ -55,7 +58,8 @@ TxFrame BuildFrame(std::span<const std::uint8_t> payload,
 
   frame.stream_bits = pdu_crc;
   const BitVector whitened = Whiten(pdu_crc, config.channel_index);
-  frame.air_bits = HeaderBits(config.access_address);
+  const std::array<Bit, kHeaderBits> header = HeaderBits(config.access_address);
+  frame.air_bits.assign(header.begin(), header.end());
   frame.header_bits = frame.air_bits.size();
   frame.air_bits.insert(frame.air_bits.end(), whitened.begin(), whitened.end());
 
@@ -69,32 +73,56 @@ double FrameDurationS(const TxFrame& frame) {
 
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
   RxResult result;
-  const BitVector header = HeaderBits(config.access_address);
+  const std::array<Bit, kHeaderBits> header = HeaderBits(config.access_address);
   const std::size_t header_samples = header.size() * kSamplesPerBit;
   if (rx.size() < header_samples + kSamplesPerBit) return result;
 
-  const IqBuffer filtered = ChannelFilter(rx);
-  const std::vector<double> freq = Discriminate(filtered);
+  dsp::Workspace& ws = dsp::ThreadLocalWorkspace();
+  const IqBuffer& filtered = ws.rx_work;
+  ChannelFilterInto(rx, ws.rx_work);
+  // The discriminator output takes the correlation-scan buffer, which
+  // BLE does not otherwise use, so a thread that also runs 802.11 or
+  // 802.15.4 holds no extra memory for it.
+  DiscriminateInto(filtered, ws.scan_re);
+  const std::span<const double> freq = ws.scan_re;
 
   // Slide over candidate start samples; score = fraction of header bits
-  // whose center-frequency sign matches.
+  // whose center-frequency sign matches. Bit k of start n0 is decided
+  // from the same four-sample average as bit 0 of start n0 + k * 8, so
+  // each sample's decision is computed once (the same BitFrequency sum,
+  // in the same order) and every start counts its matches from those,
+  // one block of starts at a time in stack buffers.
+  constexpr std::size_t kBlock = 4096;
+  constexpr std::size_t kSpan = (kHeaderBits - 1) * kSamplesPerBit;
+  std::array<Bit, kBlock + kSpan> sign{};
+  std::array<std::uint8_t, kBlock> match{};
   const std::size_t max_start = rx.size() - header_samples;
-  double best_score = 0.0;
+  // The score is strictly increasing in the match count, so the first
+  // start with the most matches is the legacy first highest score.
+  std::uint8_t best_match = 0;
   std::size_t best_start = 0;
-  for (std::size_t n0 = 0; n0 < max_start; ++n0) {
-    std::size_t match = 0;
-    for (std::size_t k = 0; k < header.size(); ++k) {
-      const double f = BitFrequency(freq, n0, k);
-      const Bit decided = static_cast<Bit>(f >= 0.0);
-      match += (decided == header[k]);
+  for (std::size_t b0 = 0; b0 < max_start; b0 += kBlock) {
+    const std::size_t count = std::min(kBlock, max_start - b0);
+    for (std::size_t s = 0; s < count + kSpan; ++s) {
+      sign[s] = static_cast<Bit>(BitFrequency(freq, b0 + s, 0) >= 0.0);
     }
-    const double score =
-        static_cast<double>(match) / static_cast<double>(header.size());
-    if (score > best_score) {
-      best_score = score;
-      best_start = n0;
+    std::fill_n(match.begin(), count, std::uint8_t{0});
+    for (std::size_t k = 0; k < header.size(); ++k) {
+      const Bit want = header[k];
+      const Bit* bit_k = sign.data() + k * kSamplesPerBit;
+      for (std::size_t n = 0; n < count; ++n) {
+        match[n] = static_cast<std::uint8_t>(match[n] + (bit_k[n] == want));
+      }
+    }
+    for (std::size_t n = 0; n < count; ++n) {
+      if (match[n] > best_match) {
+        best_match = match[n];
+        best_start = b0 + n;
+      }
     }
   }
+  const double best_score =
+      static_cast<double>(best_match) / static_cast<double>(header.size());
   if (best_score < config.detection_threshold) return result;
   result.detected = true;
   result.start_index = best_start;
@@ -114,7 +142,7 @@ RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
     return static_cast<Bit>(
         BitFrequency(freq, best_start, pdu_bit0 + k) >= freq_offset);
   };
-  BitVector len_bits(8);
+  std::array<Bit, 8> len_bits{};
   for (std::size_t k = 0; k < 8; ++k) len_bits[k] = decide_bit(k);
   const BitVector len_plain = Whiten(len_bits, config.channel_index);
   const std::size_t payload_len = BitsToBytes(len_plain)[0];
@@ -128,9 +156,8 @@ RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config) {
 
   BitVector whitened(pdu_crc_bits);
   for (std::size_t k = 0; k < pdu_crc_bits; ++k) whitened[k] = decide_bit(k);
-  const BitVector plain = Whiten(whitened, config.channel_index);
-
-  result.stream_bits = plain;
+  result.stream_bits = Whiten(whitened, config.channel_index);
+  const BitVector& plain = result.stream_bits;
   result.pdu_bits.assign(plain.begin(),
                          plain.begin() + static_cast<std::ptrdiff_t>(
                                              8 + payload_len * 8));

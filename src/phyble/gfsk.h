@@ -21,8 +21,14 @@ IqBuffer ModulateBits(std::span<const Bit> bits);
 /// margin, applied before demodulation.
 IqBuffer ChannelFilter(std::span<const Cplx> rx);
 
+/// Allocation-free ChannelFilter into `out`, which must not alias `rx`.
+void ChannelFilterInto(std::span<const Cplx> rx, IqBuffer& out);
+
 /// Polar discriminator: instantaneous frequency (Hz) per sample.
 std::vector<double> Discriminate(std::span<const Cplx> rx);
+
+/// Allocation-free Discriminate: `freq` is resized and refilled.
+void DiscriminateInto(std::span<const Cplx> rx, std::vector<double>& freq);
 
 /// Average instantaneous frequency over the center half of bit `k`
 /// given the sample index of bit 0's start. Used by the bit slicer.

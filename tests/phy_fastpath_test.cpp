@@ -3,20 +3,35 @@
 // reference bit-for-bit — same decoded bits, same Detection, same
 // RxResult down to the float fields — across rates, lengths, erasure
 // phases, SNRs straddling the detection threshold, and workspace reuse.
+// The narrowband half (802.15.4 SHR scan, BLE header search, FIR) keeps
+// the replaced loops verbatim below as its references.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <vector>
 
 #include "channel/awgn.h"
+#include "common/bits.h"
+#include "common/crc.h"
 #include "common/rng.h"
+#include "dsp/fir.h"
 #include "dsp/kernels.h"
+#include "dsp/signal_ops.h"
 #include "dsp/workspace.h"
 #include "phy80211/convolutional.h"
 #include "phy80211/params.h"
 #include "phy80211/receiver.h"
 #include "phy80211/sync.h"
 #include "phy80211/transmitter.h"
+#include "phy802154/chips.h"
+#include "phy802154/frame.h"
+#include "phy802154/oqpsk.h"
+#include "phyble/frame.h"
+#include "phyble/gfsk.h"
+#include "phyble/whitening.h"
 
 namespace freerider::phy80211 {
 namespace {
@@ -140,7 +155,7 @@ TEST(FastViterbiTest, PublicDispatchersMatchScalarOnEmptyInput) {
 }
 
 TEST(FastCorrelationTest, BlockedKernelMatchesSinglePosition) {
-  // CorrelationPowerX4's per-position chain must equal the 1-position
+  // CorrelationX4's per-position chain must equal the 1-position
   // kernel exactly — the scan remainder depends on it.
   Rng rng(11);
   std::vector<double> xr(64 + 3), xi(64 + 3), pr(64), pi(64);
@@ -148,13 +163,15 @@ TEST(FastCorrelationTest, BlockedKernelMatchesSinglePosition) {
   for (auto& v : xi) v = rng.NextGaussian();
   for (auto& v : pr) v = rng.NextGaussian();
   for (auto& v : pi) v = rng.NextGaussian();
-  double block[4];
-  dsp::CorrelationPowerX4(xr.data(), xi.data(), pr.data(), pi.data(), 64,
-                          block);
+  double block_re[4];
+  double block_im[4];
+  dsp::CorrelationX4(xr.data(), xi.data(), pr.data(), pi.data(), 64, block_re,
+                     block_im);
   for (int j = 0; j < 4; ++j) {
-    const double single = dsp::CorrelationPower(xr.data() + j, xi.data() + j,
-                                                pr.data(), pi.data(), 64);
-    EXPECT_EQ(single, block[j]) << "offset " << j;
+    const Cplx single = dsp::Correlation(xr.data() + j, xi.data() + j,
+                                         pr.data(), pi.data(), 64);
+    EXPECT_EQ(single.real(), block_re[j]) << "offset " << j;
+    EXPECT_EQ(single.imag(), block_im[j]) << "offset " << j;
   }
 }
 
@@ -322,3 +339,624 @@ TEST(FastDetectTest, ZeroPaddedTailDoesNotShiftDetection) {
 
 }  // namespace
 }  // namespace freerider::phy80211
+
+// ---------------------------------------------------------------------
+// Narrowband receivers: 802.15.4 SHR scan, BLE header search, FIR.
+// ---------------------------------------------------------------------
+namespace freerider {
+namespace {
+
+::testing::AssertionResult BitEqual(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::setprecision(17) << a << " != " << b;
+}
+
+::testing::AssertionResult BitEqual(const IqBuffer& a, const IqBuffer& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " != " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!BitEqual(a[i].real(), b[i].real()) ||
+        !BitEqual(a[i].imag(), b[i].imag())) {
+      return ::testing::AssertionFailure()
+             << "sample " << i << ": " << std::setprecision(17) << a[i]
+             << " != " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+IqBuffer RandomIq(Rng& rng, std::size_t n) {
+  IqBuffer out(n);
+  for (auto& x : out) x = rng.NextComplexGaussian();
+  return out;
+}
+
+// Frame waveform behind an odd zero pad, through a noisy 8 MS/s front
+// end at `rx_power_dbm`.
+IqBuffer NarrowbandCapture(const IqBuffer& waveform, double rx_power_dbm,
+                           Rng& rng, std::size_t pad_front = 93) {
+  channel::ReceiverFrontEnd fe;
+  fe.sample_rate_hz = 8e6;
+  fe.noise_figure_db = 5.0;
+  IqBuffer padded(pad_front, Cplx{0.0, 0.0});
+  padded.insert(padded.end(), waveform.begin(), waveform.end());
+  padded.resize(padded.size() + 61, Cplx{0.0, 0.0});
+  return channel::ApplyLink(padded, rx_power_dbm, fe, rng);
+}
+
+// --- Legacy FirFilter::Filter, verbatim. ---
+IqBuffer LegacyFilter(const std::vector<double>& taps_,
+                      std::span<const Cplx> input) {
+  IqBuffer out(input.size(), Cplx{0.0, 0.0});
+  // Center the group delay so output stays time-aligned with input.
+  const std::ptrdiff_t delay = static_cast<std::ptrdiff_t>(taps_.size() / 2);
+  for (std::size_t n = 0; n < input.size(); ++n) {
+    Cplx acc{0.0, 0.0};
+    for (std::size_t k = 0; k < taps_.size(); ++k) {
+      const std::ptrdiff_t idx =
+          static_cast<std::ptrdiff_t>(n) + delay - static_cast<std::ptrdiff_t>(k);
+      if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(input.size())) {
+        acc += taps_[k] * input[static_cast<std::size_t>(idx)];
+      }
+    }
+    out[n] = acc;
+  }
+  return out;
+}
+
+TEST(NarrowbandFirTest, FilterMatchesLegacyAroundTheTapCount) {
+  // Odd and even tap counts (the BLE select filter and shaper are odd),
+  // inputs shorter than, equal to and one longer than the taps (no
+  // interior at all), and longer ones whose interior length runs through
+  // every remainder of the 8-double block.
+  Rng rng(41);
+  for (std::size_t num_taps : {1u, 2u, 4u, 25u, 65u}) {
+    const std::vector<double> taps =
+        num_taps >= 3 ? dsp::LowPassTaps(0.2, num_taps)
+                      : std::vector<double>(num_taps, 0.37);
+    const dsp::FirFilter fir(taps);
+    std::vector<std::size_t> lengths = {0, 1, num_taps - 1, num_taps,
+                                        num_taps + 1};
+    for (std::size_t extra = 0; extra < 12; ++extra) {
+      lengths.push_back(2 * num_taps + 100 + extra);
+    }
+    for (std::size_t len : lengths) {
+      const IqBuffer x = RandomIq(rng, len);
+      const IqBuffer ref = LegacyFilter(taps, x);
+      EXPECT_TRUE(BitEqual(ref, fir.Filter(x)))
+          << "taps=" << num_taps << " len=" << len;
+
+      // The real form equals the real rail of the complex filter on
+      // {x, 0}.
+      std::vector<double> real_in(len);
+      IqBuffer as_complex(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        real_in[i] = x[i].real();
+        as_complex[i] = {x[i].real(), 0.0};
+      }
+      const IqBuffer ref_real = LegacyFilter(taps, as_complex);
+      std::vector<double> fast_real;
+      fir.FilterInto(real_in, fast_real);
+      ASSERT_EQ(ref_real.size(), fast_real.size());
+      for (std::size_t i = 0; i < len; ++i) {
+        EXPECT_TRUE(BitEqual(ref_real[i].real(), fast_real[i]))
+            << "taps=" << num_taps << " len=" << len << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(NarrowbandFirTest, FilterIntoReusesOutputAcrossLengths) {
+  Rng rng(42);
+  const std::vector<double> taps = dsp::LowPassTaps(0.075, 65);
+  const dsp::FirFilter fir(taps);
+  IqBuffer out;
+  for (std::size_t len : {900u, 70u, 3u, 401u}) {
+    const IqBuffer x = RandomIq(rng, len);
+    fir.FilterInto(x, out);
+    EXPECT_TRUE(BitEqual(LegacyFilter(taps, x), out)) << "len=" << len;
+  }
+}
+
+}  // namespace
+}  // namespace freerider
+
+namespace freerider::phy802154 {
+namespace {
+
+// --- Legacy 802.15.4 detection reference and SHR scan, verbatim. ---
+const IqBuffer& LegacyDetectionReference() {
+  static const IqBuffer ref = [] {
+    const std::vector<std::uint8_t> symbols = {0, 0, 0x7, 0xA};
+    return ModulateChips(SpreadSymbols(symbols));
+  }();
+  return ref;
+}
+
+ShrPeak LegacyShrScan(const IqBuffer& rx) {
+  const IqBuffer& ref = LegacyDetectionReference();
+  // Normalized cross-correlation against the SHR tail.
+  const std::size_t positions = rx.size() - ref.size() + 1;
+  double ref_energy = 0.0;
+  for (const Cplx& x : ref) ref_energy += std::norm(x);
+
+  double best = 0.0;
+  std::size_t best_pos = 0;
+  Cplx best_corr{0.0, 0.0};
+  double window_energy = 0.0;
+  for (std::size_t n = 0; n < ref.size(); ++n) window_energy += std::norm(rx[n]);
+  for (std::size_t n = 0; n < positions; ++n) {
+    if (n > 0) {
+      window_energy +=
+          std::norm(rx[n + ref.size() - 1]) - std::norm(rx[n - 1]);
+    }
+    if (window_energy > 0.0) {
+      Cplx c{0.0, 0.0};
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        c += rx[n + k] * std::conj(ref[k]);
+      }
+      const double ncorr = std::abs(c) / std::sqrt(window_energy * ref_energy);
+      if (ncorr > best) {
+        best = ncorr;
+        best_pos = n;
+        best_corr = c;
+      }
+    }
+  }
+  return {best, best_pos, best_corr};
+}
+
+// --- Legacy 802.15.4 ReceiveFrame, verbatim around LegacyShrScan. ---
+RxResult LegacyReceiveFrame(const IqBuffer& rx, const RxConfig& config = {}) {
+  RxResult result;
+  const IqBuffer& ref = LegacyDetectionReference();
+  if (rx.size() < ref.size() + kSamplesPerSymbol) return result;
+
+  const ShrPeak scan = LegacyShrScan(rx);
+  const double best = scan.ncorr;
+  const std::size_t best_pos = scan.position;
+  const Cplx best_corr = scan.corr;
+  if (best < config.detection_threshold) return result;
+  result.detected = true;
+  result.start_index = best_pos;
+
+  // Phase lock: derotate by the correlation phase.
+  const double phase = std::arg(best_corr);
+  IqBuffer locked = dsp::RotatePhase(rx, -phase);
+
+  // PHR starts right after the SFD. The detection reference covers 4
+  // symbols; its start is 2 preamble symbols before the SFD.
+  const std::size_t phr_start = best_pos + 4 * kSamplesPerSymbol;
+
+  // Decode PHR (2 symbols = 1 byte).
+  const BitVector phr_chips =
+      DemodulateChips(locked, phr_start, 2 * kChipsPerSymbol);
+  if (phr_chips.size() < 2 * kChipsPerSymbol) return result;
+  std::vector<std::uint8_t> symbols;
+  double chip_distance_sum = 0.0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const DespreadResult d = DespreadChips(
+        std::span<const Bit>(phr_chips).subspan(s * kChipsPerSymbol,
+                                                kChipsPerSymbol));
+    symbols.push_back(d.symbol);
+    chip_distance_sum += d.distance;
+  }
+  const std::size_t psdu_len = SymbolsToBytes(symbols)[0] & 0x7Fu;
+  if (psdu_len < 2 || psdu_len > kMaxPsduBytes) return result;
+  result.psdu_len = psdu_len;
+
+  // Decode PSDU symbols.
+  const std::size_t psdu_symbols = psdu_len * 2;
+  const std::size_t psdu_start = phr_start + 2 * kSamplesPerSymbol;
+  const BitVector chips =
+      DemodulateChips(locked, psdu_start, psdu_symbols * kChipsPerSymbol);
+  if (chips.size() < psdu_symbols * kChipsPerSymbol) return result;
+  std::vector<std::uint8_t> payload_symbols;
+  for (std::size_t s = 0; s < psdu_symbols; ++s) {
+    const DespreadResult d = DespreadChips(std::span<const Bit>(chips).subspan(
+        s * kChipsPerSymbol, kChipsPerSymbol));
+    payload_symbols.push_back(d.symbol);
+    chip_distance_sum += d.distance;
+  }
+  result.psdu = SymbolsToBytes(payload_symbols);
+  result.data_symbols = symbols;
+  result.data_symbols.insert(result.data_symbols.end(), payload_symbols.begin(),
+                             payload_symbols.end());
+  result.mean_chip_distance =
+      chip_distance_sum / static_cast<double>(2 + psdu_symbols);
+
+  // RSSI over the frame extent.
+  const std::size_t frame_end =
+      std::min(rx.size(), psdu_start + psdu_symbols * kSamplesPerSymbol);
+  result.rssi_dbm = dsp::PowerDbm(
+      std::span<const Cplx>(rx).subspan(best_pos, frame_end - best_pos));
+
+  // FCS check.
+  if (result.psdu.size() >= 2) {
+    const std::uint16_t fcs = static_cast<std::uint16_t>(
+        result.psdu[result.psdu.size() - 2] |
+        (result.psdu[result.psdu.size() - 1] << 8));
+    const std::uint16_t computed = Crc16Ccitt(std::span<const std::uint8_t>(
+        result.psdu.data(), result.psdu.size() - 2));
+    result.fcs_ok = (fcs == computed);
+  }
+  return result;
+}
+
+void ExpectSamePeak(const ShrPeak& ref, const ShrPeak& fast,
+                    const std::string& what) {
+  EXPECT_TRUE(BitEqual(ref.ncorr, fast.ncorr)) << what;
+  EXPECT_EQ(ref.position, fast.position) << what;
+  EXPECT_TRUE(BitEqual(ref.corr.real(), fast.corr.real())) << what;
+  EXPECT_TRUE(BitEqual(ref.corr.imag(), fast.corr.imag())) << what;
+}
+
+void ExpectSameResult(const RxResult& ref, const RxResult& fast,
+                      const std::string& what) {
+  EXPECT_EQ(ref.detected, fast.detected) << what;
+  EXPECT_EQ(ref.fcs_ok, fast.fcs_ok) << what;
+  EXPECT_EQ(ref.psdu_len, fast.psdu_len) << what;
+  EXPECT_EQ(ref.psdu, fast.psdu) << what;
+  EXPECT_EQ(ref.data_symbols, fast.data_symbols) << what;
+  EXPECT_TRUE(BitEqual(ref.mean_chip_distance, fast.mean_chip_distance))
+      << what;
+  EXPECT_TRUE(BitEqual(ref.rssi_dbm, fast.rssi_dbm)) << what;
+  EXPECT_EQ(ref.start_index, fast.start_index) << what;
+}
+
+std::size_t ReferenceSamples() { return LegacyDetectionReference().size(); }
+
+TEST(ZigbeeScanTest, MatchesLegacyForEveryBlockRemainder) {
+  // Random buffers whose position count is 0, 1, 2 and 3 mod 4, so the
+  // scan's last block is full or leaves 1-3 remainder positions; with a
+  // threshold of 0 every one also runs the whole decode from its peak.
+  dsp::Workspace ws;
+  RxConfig any_peak;
+  any_peak.detection_threshold = 0.0;
+  Rng rng(51);
+  for (std::size_t extra = 0; extra < 8; ++extra) {
+    const std::size_t positions = 700 + extra;
+    const IqBuffer rx = RandomIq(rng, ReferenceSamples() + positions - 1);
+    const std::string what = "positions=" + std::to_string(positions);
+    ExpectSamePeak(LegacyShrScan(rx), FindShr(rx, ws), what);
+    ExpectSameResult(LegacyReceiveFrame(rx, any_peak),
+                     ReceiveFrame(rx, any_peak), what);
+  }
+}
+
+TEST(ZigbeeScanTest, ShortestDecodableCaptureMatchesLegacy) {
+  // A capture exactly reference + one symbol long: the shortest buffer
+  // ReceiveFrame scans, with kSamplesPerSymbol + 1 positions.
+  Rng rng(52);
+  const TxFrame frame = BuildFrame(RandomBytes(rng, 20));
+  const std::size_t len = ReferenceSamples() + kSamplesPerSymbol;
+  RxConfig any_peak;
+  any_peak.detection_threshold = 0.0;
+  for (std::size_t offset : {0u, 128u, 1024u, 1031u}) {
+    const IqBuffer rx(frame.waveform.begin() + static_cast<std::ptrdiff_t>(offset),
+                      frame.waveform.begin() +
+                          static_cast<std::ptrdiff_t>(offset + len));
+    const IqBuffer too_short(rx.begin(), rx.end() - 1);
+    const std::string what = "offset=" + std::to_string(offset);
+    dsp::Workspace ws;
+    ExpectSamePeak(LegacyShrScan(rx), FindShr(rx, ws), what);
+    ExpectSameResult(LegacyReceiveFrame(rx), ReceiveFrame(rx), what);
+    ExpectSameResult(LegacyReceiveFrame(rx, any_peak),
+                     ReceiveFrame(rx, any_peak), what);
+    EXPECT_FALSE(ReceiveFrame(too_short, any_peak).detected) << what;
+  }
+}
+
+TEST(ZigbeeScanTest, ZeroEnergyWindowsAreSkippedLikeLegacy) {
+  // All-zero buffers, and zero runs long enough to zero whole 4-position
+  // blocks and partial ones around a frame.
+  dsp::Workspace ws;
+  for (double threshold : {0.5, 0.0, -1.0}) {
+    RxConfig config;
+    config.detection_threshold = threshold;
+    for (std::size_t len : {ReferenceSamples() + kSamplesPerSymbol,
+                            std::size_t{2000}, std::size_t{2003}}) {
+      const IqBuffer zeros(len, Cplx{0.0, 0.0});
+      const std::string what = "zeros len=" + std::to_string(len) +
+                               " threshold=" + std::to_string(threshold);
+      ExpectSamePeak(LegacyShrScan(zeros), FindShr(zeros, ws), what);
+      ExpectSameResult(LegacyReceiveFrame(zeros, config),
+                       ReceiveFrame(zeros, config), what);
+    }
+  }
+  // One sample after z zeros: only the last position's window sees it,
+  // so that position sits alone in a remainder or at the end of a block
+  // whose other positions are gated.
+  for (std::size_t z = ReferenceSamples() - 1; z <= ReferenceSamples() + 6;
+       ++z) {
+    IqBuffer rx(z, Cplx{0.0, 0.0});
+    rx.push_back(Cplx{0.3, -0.7});
+    const ShrPeak ref = LegacyShrScan(rx);
+    EXPECT_EQ(ref.position, rx.size() - ReferenceSamples()) << "z=" << z;
+    ExpectSamePeak(ref, FindShr(rx, ws), "lone sample z=" + std::to_string(z));
+  }
+  Rng rng(53);
+  const TxFrame frame = BuildFrame(RandomBytes(rng, 12));
+  for (std::size_t pad : {1u, 514u, 517u, 1030u}) {
+    IqBuffer rx(pad, Cplx{0.0, 0.0});
+    rx.insert(rx.end(), frame.waveform.begin(), frame.waveform.end());
+    rx.resize(rx.size() + pad + 2, Cplx{0.0, 0.0});
+    const std::string what = "pad=" + std::to_string(pad);
+    ExpectSamePeak(LegacyShrScan(rx), FindShr(rx, ws), what);
+    ExpectSameResult(LegacyReceiveFrame(rx), ReceiveFrame(rx), what);
+  }
+}
+
+TEST(ZigbeeRxTest, MatchesLegacyAcrossSnrs) {
+  int found = 0;
+  int missed = 0;
+  for (double dbm = -70.0; dbm >= -115.0; dbm -= 5.0) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(600 + seed);
+      const TxFrame frame = BuildFrame(RandomBytes(rng, 10 + 17 * seed));
+      const IqBuffer rx = NarrowbandCapture(frame.waveform, dbm, rng);
+      const RxResult ref = LegacyReceiveFrame(rx);
+      ExpectSameResult(ref, ReceiveFrame(rx),
+                       "dbm=" + std::to_string(dbm) +
+                           " seed=" + std::to_string(seed));
+      (ref.fcs_ok ? found : missed) += 1;
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(missed, 0);
+}
+
+TEST(ZigbeeRxTest, WorkspaceReuseAcrossFrameLengthsMatchesLegacy) {
+  // The thread's workspace carries buffers sized by the previous frame;
+  // a long frame, then short ones, then a long one again must each
+  // decode exactly as the legacy receiver does.
+  dsp::Workspace reused;
+  const std::size_t payloads[] = {125, 4, 60, 7, 110};
+  for (std::size_t i = 0; i < std::size(payloads); ++i) {
+    Rng rng(700 + i);
+    const TxFrame frame = BuildFrame(RandomBytes(rng, payloads[i]));
+    const IqBuffer rx = NarrowbandCapture(frame.waveform, -80.0, rng, 37 + i);
+    const std::string what = "frame " + std::to_string(i);
+    const RxResult ref = LegacyReceiveFrame(rx);
+    EXPECT_TRUE(ref.fcs_ok) << what;
+    ExpectSameResult(ref, ReceiveFrame(rx), what);
+    dsp::Workspace fresh;
+    ExpectSamePeak(FindShr(rx, fresh), FindShr(rx, reused), what);
+  }
+}
+
+}  // namespace
+}  // namespace freerider::phy802154
+
+namespace freerider::phyble {
+namespace {
+
+// --- Legacy BLE header, channel filter and ReceiveFrame, verbatim. ---
+BitVector LegacyHeaderBits(std::uint32_t access_address) {
+  BitVector bits;
+  bits.reserve(kPreambleBits + kAccessAddressBits);
+  for (std::size_t i = 0; i < kPreambleBits; ++i) {
+    bits.push_back(static_cast<Bit>(i % 2 == 0));
+  }
+  for (std::size_t i = 0; i < kAccessAddressBits; ++i) {
+    bits.push_back(static_cast<Bit>((access_address >> i) & 1u));
+  }
+  return bits;
+}
+
+IqBuffer LegacyChannelFilter(std::span<const Cplx> rx) {
+  static const std::vector<double> taps =
+      dsp::LowPassTaps(600e3 / kSampleRateHz, 65);
+  return LegacyFilter(taps, rx);
+}
+
+RxResult LegacyReceiveFrame(const IqBuffer& rx, const RxConfig& config = {}) {
+  RxResult result;
+  const BitVector header = LegacyHeaderBits(config.access_address);
+  const std::size_t header_samples = header.size() * kSamplesPerBit;
+  if (rx.size() < header_samples + kSamplesPerBit) return result;
+
+  const IqBuffer filtered = LegacyChannelFilter(rx);
+  const std::vector<double> freq = Discriminate(filtered);
+
+  // Slide over candidate start samples; score = fraction of header bits
+  // whose center-frequency sign matches.
+  const std::size_t max_start = rx.size() - header_samples;
+  double best_score = 0.0;
+  std::size_t best_start = 0;
+  for (std::size_t n0 = 0; n0 < max_start; ++n0) {
+    std::size_t match = 0;
+    for (std::size_t k = 0; k < header.size(); ++k) {
+      const double f = BitFrequency(freq, n0, k);
+      const Bit decided = static_cast<Bit>(f >= 0.0);
+      match += (decided == header[k]);
+    }
+    const double score =
+        static_cast<double>(match) / static_cast<double>(header.size());
+    if (score > best_score) {
+      best_score = score;
+      best_start = n0;
+    }
+  }
+  if (best_score < config.detection_threshold) return result;
+  result.detected = true;
+  result.start_index = best_start;
+
+  // Carrier-frequency-offset compensation: the alternating preamble has
+  // zero mean deviation, so its mean instantaneous frequency IS the
+  // offset; slice subsequent bits against it instead of 0 Hz.
+  double freq_offset = 0.0;
+  for (std::size_t k = 0; k < kPreambleBits; ++k) {
+    freq_offset += BitFrequency(freq, best_start, k);
+  }
+  freq_offset /= static_cast<double>(kPreambleBits);
+
+  // Decode length byte (first 8 PDU bits, whitened).
+  const std::size_t pdu_bit0 = header.size();
+  auto decide_bit = [&](std::size_t k) {
+    return static_cast<Bit>(
+        BitFrequency(freq, best_start, pdu_bit0 + k) >= freq_offset);
+  };
+  BitVector len_bits(8);
+  for (std::size_t k = 0; k < 8; ++k) len_bits[k] = decide_bit(k);
+  const BitVector len_plain = Whiten(len_bits, config.channel_index);
+  const std::size_t payload_len = BitsToBytes(len_plain)[0];
+  if (payload_len > kMaxPayloadBytes) return result;
+
+  const std::size_t pdu_crc_bits = 8 + payload_len * 8 + kCrcBytes * 8;
+  const std::size_t total_bits = header.size() + pdu_crc_bits;
+  if (best_start + total_bits * kSamplesPerBit > rx.size() + kSamplesPerBit) {
+    return result;
+  }
+
+  BitVector whitened(pdu_crc_bits);
+  for (std::size_t k = 0; k < pdu_crc_bits; ++k) whitened[k] = decide_bit(k);
+  const BitVector plain = Whiten(whitened, config.channel_index);
+
+  result.stream_bits = plain;
+  result.pdu_bits.assign(plain.begin(),
+                         plain.begin() + static_cast<std::ptrdiff_t>(
+                                             8 + payload_len * 8));
+  const Bytes pdu = BitsToBytes(result.pdu_bits);
+  result.payload.assign(pdu.begin() + 1, pdu.end());
+
+  // CRC check (CRC bits transmitted MSB-first).
+  std::uint32_t rx_crc = 0;
+  for (std::size_t k = 0; k < 24; ++k) {
+    rx_crc = (rx_crc << 1) | plain[8 + payload_len * 8 + k];
+  }
+  result.crc_ok = (rx_crc == Crc24Ble(result.pdu_bits));
+
+  // RSSI over the packet extent (post-filter, i.e. in-channel power).
+  result.rssi_dbm = dsp::PowerDbm(std::span<const Cplx>(filtered).subspan(
+      best_start,
+      std::min(filtered.size() - best_start, total_bits * kSamplesPerBit)));
+  return result;
+}
+
+// --- Legacy BLE ModulateBits (complex Gaussian shaping), verbatim. ---
+IqBuffer LegacyModulateBits(std::span<const Bit> bits) {
+  static const std::vector<double> taps =
+      dsp::GaussianTaps(kGaussianBt, kSamplesPerBit, 3);
+  // NRZ at sample rate.
+  IqBuffer nrz(bits.size() * kSamplesPerBit);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const double level = bits[i] ? 1.0 : -1.0;
+    for (std::size_t s = 0; s < kSamplesPerBit; ++s) {
+      nrz[i * kSamplesPerBit + s] = {level, 0.0};
+    }
+  }
+  const IqBuffer shaped = LegacyFilter(taps, nrz);
+
+  // Integrate frequency into phase.
+  IqBuffer out(shaped.size());
+  double phase = 0.0;
+  const double k = kTwoPi * kFreqDeviationHz / kSampleRateHz;
+  for (std::size_t n = 0; n < shaped.size(); ++n) {
+    phase += k * shaped[n].real();
+    out[n] = {std::cos(phase), std::sin(phase)};
+  }
+  return out;
+}
+
+void ExpectSameResult(const RxResult& ref, const RxResult& fast,
+                      const std::string& what) {
+  EXPECT_EQ(ref.detected, fast.detected) << what;
+  EXPECT_EQ(ref.crc_ok, fast.crc_ok) << what;
+  EXPECT_EQ(ref.payload, fast.payload) << what;
+  EXPECT_EQ(ref.pdu_bits, fast.pdu_bits) << what;
+  EXPECT_EQ(ref.stream_bits, fast.stream_bits) << what;
+  EXPECT_TRUE(BitEqual(ref.rssi_dbm, fast.rssi_dbm)) << what;
+  EXPECT_EQ(ref.start_index, fast.start_index) << what;
+}
+
+TEST(BleTxTest, RealRailShapingMatchesLegacy) {
+  for (std::size_t n : {0u, 1u, 2u, 3u, 40u, 333u}) {
+    Rng rng(80 + n);
+    const BitVector bits = RandomBits(rng, n);
+    EXPECT_TRUE(BitEqual(LegacyModulateBits(bits), ModulateBits(bits)))
+        << "bits=" << n;
+  }
+}
+
+TEST(BleRxTest, HeaderSearchMatchesLegacyOnRandomBuffers) {
+  // Start counts 0..3 mod 4 and around the search's 4096-start blocks,
+  // and every threshold k/40: detection at each one pins the best match
+  // count, not just the best start.
+  Rng rng(81);
+  for (std::size_t starts : {500u, 501u, 502u, 503u, 4095u, 4096u, 4097u,
+                             8193u}) {
+    const IqBuffer rx = RandomIq(rng, 40 * kSamplesPerBit + starts);
+    for (std::size_t k = 0; k <= 40; k += 1) {
+      RxConfig config;
+      config.detection_threshold = static_cast<double>(k) / 40.0;
+      ExpectSameResult(LegacyReceiveFrame(rx, config),
+                       ReceiveFrame(rx, config),
+                       "len=" + std::to_string(rx.size()) +
+                           " k=" + std::to_string(k));
+    }
+  }
+  // All-zero input: every decision reads 0 Hz.
+  for (double threshold : {0.9, 0.0}) {
+    RxConfig config;
+    config.detection_threshold = threshold;
+    const IqBuffer zeros(1000, Cplx{0.0, 0.0});
+    ExpectSameResult(LegacyReceiveFrame(zeros, config),
+                     ReceiveFrame(zeros, config), "zeros");
+  }
+}
+
+TEST(BleRxTest, FramesAcrossSearchBlockBoundariesMatchLegacy) {
+  // The header search scores starts in blocks of 4096; frames whose
+  // true start falls just before, on and after a block boundary must
+  // resolve to the legacy start, including ones whose last header bits
+  // read the block's final decisions.
+  Rng rng(85);
+  const TxFrame frame = BuildFrame(RandomBytes(rng, 20));
+  for (std::size_t pad : {4080u, 4086u, 4090u, 4093u, 4095u, 4096u, 4099u,
+                          8190u}) {
+    const IqBuffer rx = NarrowbandCapture(frame.waveform, -70.0, rng, pad);
+    const RxResult ref = LegacyReceiveFrame(rx);
+    EXPECT_TRUE(ref.crc_ok) << "pad=" << pad;
+    ExpectSameResult(ref, ReceiveFrame(rx), "pad=" + std::to_string(pad));
+  }
+}
+
+TEST(BleRxTest, MatchesLegacyAcrossSnrs) {
+  int found = 0;
+  int missed = 0;
+  for (double dbm = -70.0; dbm >= -105.0; dbm -= 5.0) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(900 + seed);
+      const TxFrame frame = BuildFrame(RandomBytes(rng, 5 + 40 * seed));
+      const IqBuffer rx = NarrowbandCapture(frame.waveform, dbm, rng);
+      const RxResult ref = LegacyReceiveFrame(rx);
+      ExpectSameResult(ref, ReceiveFrame(rx),
+                       "dbm=" + std::to_string(dbm) +
+                           " seed=" + std::to_string(seed));
+      (ref.crc_ok ? found : missed) += 1;
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(missed, 0);
+}
+
+TEST(BleRxTest, WorkspaceReuseAcrossFrameLengthsMatchesLegacy) {
+  const std::size_t payloads[] = {255, 2, 120, 3, 240};
+  for (std::size_t i = 0; i < std::size(payloads); ++i) {
+    Rng rng(950 + i);
+    const TxFrame frame = BuildFrame(RandomBytes(rng, payloads[i]));
+    const IqBuffer rx = NarrowbandCapture(frame.waveform, -75.0, rng, 11 + i);
+    const RxResult ref = LegacyReceiveFrame(rx);
+    EXPECT_TRUE(ref.crc_ok) << "frame " << i;
+    ExpectSameResult(ref, ReceiveFrame(rx), "frame " + std::to_string(i));
+  }
+}
+
+}  // namespace
+}  // namespace freerider::phyble
