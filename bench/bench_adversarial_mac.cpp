@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
       seed_ok = false;
       std::printf("FAIL (%s): %zu invariant violations with defenses on:\n",
                   kCastNames[p], on.violations_total);
-      for (const sim::StressViolation& v : on.violations) {
+      for (const sim::AuditViolation& v : on.violations) {
         std::printf("  round %zu: %s %s\n", v.round, v.kind.c_str(),
                     v.detail.c_str());
       }

@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
       bench::WriteTextFile(path, sim::SoakReplayJson(soaks[i], result));
       std::printf("VIOLATION (seed %llu): replay record written to %s\n",
                   static_cast<unsigned long long>(seeds[i]), path.c_str());
-      for (const sim::SoakViolation& v : result.violations) {
+      for (const sim::AuditViolation& v : result.violations) {
         std::printf("  round %zu: %s %s\n", v.round, v.kind.c_str(),
                     v.detail.c_str());
       }

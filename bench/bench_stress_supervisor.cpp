@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       std::printf("FAIL (seed %llu, supervisor %s): invariants violated:\n",
                   static_cast<unsigned long long>(seeds[p]),
                   t == 0 ? "on" : "off");
-      for (const sim::StressViolation& v : r.violations) {
+      for (const sim::AuditViolation& v : r.violations) {
         std::printf("  round %zu: %s %s\n", v.round, v.kind.c_str(),
                     v.detail.c_str());
       }

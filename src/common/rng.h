@@ -68,14 +68,9 @@ class Rng {
   /// Default: Lemire's multiply-shift rejection sampler — exactly
   /// uniform for every n (the historical `NextU64() % n` had a bias of
   /// up to 2^64 mod n toward small values, and fed the *low* xoshiro
-  /// bits to every MAC slot choice). Building with
-  /// -DFREERIDER_RNG_LEGACY_MODULO restores the biased modulo path for
-  /// bit-for-bit comparison against pre-runtime results; the expected
-  /// stat drift is documented in DESIGN.md §7.
+  /// bits to every MAC slot choice). The stat drift the fix caused is
+  /// documented in DESIGN.md §7.
   std::uint64_t NextBelow(std::uint64_t n) {
-#if defined(FREERIDER_RNG_LEGACY_MODULO)
-    return NextU64() % n;
-#else
     unsigned __int128 m =
         static_cast<unsigned __int128>(NextU64()) * static_cast<unsigned __int128>(n);
     auto lo = static_cast<std::uint64_t>(m);
@@ -89,7 +84,6 @@ class Rng {
       }
     }
     return static_cast<std::uint64_t>(m >> 64);
-#endif
   }
 
   /// Fair coin.

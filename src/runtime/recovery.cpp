@@ -9,6 +9,7 @@
 #include <cstring>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "obs/profile.h"
@@ -95,7 +96,8 @@ RobustSweepReport RecoveryRunner::Run(
   // TIMING channel: per-phase and per-task spans plus retry/quarantine
   // counts go to the wall-clock profiler, never into byte-diffed output.
   obs::Profiler& profiler = obs::GlobalProfiler();
-  obs::ScopedSpan run_span("recovery_run:" + options_.campaign, "runner");
+  obs::ScopedSpan run_span("recovery_run:" + std::to_string(options_.campaign),
+                           "runner");
 
   RobustSweepReport report;
   const std::size_t n = grid.tasks();

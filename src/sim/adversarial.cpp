@@ -1,52 +1,24 @@
 #include "sim/adversarial.h"
 
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <utility>
 
-#include "runtime/checkpoint.h"
+#include "sim/campaign.h"
 
 namespace freerider::sim {
 namespace {
 
-std::string Fmt(const char* format, ...) {
-  va_list args;
-  va_start(args, format);
-  va_list measure;
-  va_copy(measure, args);
-  const int size = std::vsnprintf(nullptr, 0, format, measure);
-  va_end(measure);
-  std::string out(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  std::vsnprintf(out.data(), out.size() + 1, format, args);
-  va_end(args);
-  return out;
-}
-
-/// Per-id sequence-space tracker, identical to sim/stress: 64-bit
-/// position so it never aliases, re-anchored across explicit resyncs.
-struct TagTrack {
-  bool anchored = false;
-  std::uint64_t position = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t skipped = 0;
-  std::size_t resyncs_seen = 0;
-};
-
-impair::RogueSpec SpecFor(const impair::RogueConfig& config,
-                          std::size_t tag) {
-  return tag < config.tags.size() ? config.tags[tag] : impair::RogueSpec{};
+/// The engine's normalised spec (an out-of-range clone target folds to
+/// tag 0 there), so the audits see the cast the sim actually runs.
+impair::RogueSpec SpecOf(const FullStackSim& sim, std::size_t tag) {
+  return sim.rogues() != nullptr ? sim.rogues()->spec(tag)
+                                 : impair::RogueSpec{};
 }
 
 }  // namespace
 
 AdversarialResult RunAdversarial(const AdversarialConfig& config) {
-  FullStackConfig sim_cfg;
-  sim_cfg.num_tags = config.num_tags;
-  sim_cfg.rounds = config.rounds + config.drain_rounds;
-  sim_cfg.transport = config.transport;
-  sim_cfg.transport.enabled = true;
+  const CampaignShape shape = CampaignShape::Of(config);
+  FullStackConfig sim_cfg = CampaignSimConfig(shape, config.transport);
   sim_cfg.transport.replay_guard = config.defenses_on;
   sim_cfg.supervisor = config.supervisor;
   sim_cfg.supervisor.enabled = true;  // both arms: off is not a strawman
@@ -55,7 +27,15 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
   sim_cfg.policing.enabled = config.defenses_on;
   sim_cfg.rogue = config.rogue;
   sim_cfg.dynamics = config.dynamics;
-  sim_cfg.offered_per_round = 0;  // the harness schedules offers itself
+
+  obs::TraceRing ring(config.trace_capacity > 0 ? config.trace_capacity : 1);
+  if (config.trace_capacity > 0) sim_cfg.trace = &ring;
+
+  AuditedCampaign campaign(shape, sim_cfg,
+                           DeliveryAudit::Anchor::kFirstHeard);
+  const FullStackSim& sim = campaign.sim();
+  ViolationLog& log = campaign.log();
+  log.cap = AdversarialResult::kMaxRecordedViolations;
 
   // Cast lists. A clone pollutes its victim's on-air identity, so that
   // id leaves the victim set too (the documented sacrifice: a cloned
@@ -63,107 +43,25 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
   std::vector<bool> is_rogue(config.num_tags, false);
   std::vector<bool> polluted(config.num_tags, false);
   for (std::size_t t = 0; t < config.num_tags; ++t) {
-    const impair::RogueSpec s = SpecFor(config.rogue, t);
+    const impair::RogueSpec s = SpecOf(sim, t);
     if (s.model == impair::RogueModel::kNone) continue;
     is_rogue[t] = true;
-    if (s.model == impair::RogueModel::kClone && s.clone_of < config.num_tags) {
-      polluted[s.clone_of] = true;
-    }
+    if (s.model == impair::RogueModel::kClone) polluted[s.clone_of] = true;
   }
 
-  obs::TraceRing ring(config.trace_capacity > 0 ? config.trace_capacity : 1);
-  if (config.trace_capacity > 0) sim_cfg.trace = &ring;
-
-  Rng rng(config.seed);
-  FullStackSim sim(sim_cfg, rng);
-  AdversarialResult result;
-  std::vector<TagTrack> track(config.num_tags);
-
-  auto violate = [&](std::size_t round, const char* kind,
-                     std::string detail) {
-    ++result.violations_total;
-    if (result.violations.size() < AdversarialResult::kMaxRecordedViolations) {
-      result.violations.push_back({round, kind, std::move(detail)});
+  CampaignHooks hooks;
+  hooks.on_delivery = [&](std::size_t round, const RoundReport::Delivery& d) {
+    // Ground truth from the cast list: every frame an always-stale
+    // replayer ever put on the air is a replay, so *any* transport
+    // delivery on its stream is stale data reaching the application.
+    if (SpecOf(sim, d.tag_id - 1).model == impair::RogueModel::kReplayer) {
+      log.Add(round, "stale_delivery", Fmt("tag=%u seq=%u", d.tag_id, d.seq));
     }
   };
+  campaign.Run(hooks);
 
-  const std::size_t total_rounds = config.rounds + config.drain_rounds;
-  for (std::size_t round = 0; round < total_rounds; ++round) {
-    const bool offering = round < config.rounds && config.offer_every != 0 &&
-                          round % config.offer_every == 0;
-    sim.SetOfferedPerRound(offering ? 1 : 0);
-
-    const RoundReport report = sim.StepRound();
-
-    for (std::size_t t = 0; t < config.num_tags; ++t) {
-      const std::size_t resyncs =
-          sim.coordinator_transport()->rx(t).stats().resyncs;
-      if (resyncs != track[t].resyncs_seen) {
-        track[t].resyncs_seen = resyncs;
-        track[t].anchored = false;
-      }
-    }
-
-    std::vector<std::optional<std::uint8_t>> skip(config.num_tags);
-    for (const RoundReport::Delivery& s : report.skipped) {
-      skip[s.tag_id - 1] = s.seq;
-    }
-    auto consume_skip = [&](std::size_t t) {
-      TagTrack& tk = track[t];
-      if (tk.anchored && skip[t].has_value() &&
-          *skip[t] == static_cast<std::uint8_t>(tk.position)) {
-        skip[t].reset();
-        ++tk.position;
-        ++tk.skipped;
-        return true;
-      }
-      return false;
-    };
-
-    for (const RoundReport::Delivery& d : report.delivered) {
-      const std::size_t t = d.tag_id - 1;
-      // Ground truth from the cast list: every frame an always-stale
-      // replayer ever put on the air is a replay, so *any* transport
-      // delivery on its stream is stale data reaching the application.
-      if (SpecFor(config.rogue, t).model == impair::RogueModel::kReplayer) {
-        violate(round, "stale_delivery",
-                Fmt("tag=%u seq=%u", d.tag_id, d.seq));
-      }
-      TagTrack& tk = track[t];
-      if (!tk.anchored) {
-        tk.anchored = true;
-        tk.position = d.seq;
-      }
-      if (d.seq != static_cast<std::uint8_t>(tk.position)) {
-        consume_skip(t);
-      }
-      const std::uint8_t expected = static_cast<std::uint8_t>(tk.position);
-      if (d.seq == expected) {
-        ++tk.position;
-        ++tk.delivered;
-        continue;
-      }
-      const bool behind = transport::SeqDistance(d.seq, expected) < 128;
-      violate(round, behind ? "duplicate" : "reorder",
-              Fmt("tag=%u seq=%u expected=%u", d.tag_id, d.seq, expected));
-    }
-    for (std::size_t t = 0; t < config.num_tags; ++t) {
-      if (!skip[t].has_value()) continue;
-      if (!track[t].anchored) {
-        track[t].anchored = true;
-        track[t].position = static_cast<std::uint64_t>(*skip[t]) + 1;
-        ++track[t].skipped;
-        continue;
-      }
-      const std::uint8_t expected =
-          static_cast<std::uint8_t>(track[t].position);
-      if (!consume_skip(t)) {
-        violate(round, "skip-out-of-order",
-                Fmt("tag=%zu seq=%u expected=%u", t + 1, *skip[t], expected));
-      }
-    }
-  }
-
+  const std::size_t total_rounds = shape.total_rounds();
+  AdversarialResult result;
   const FullStackStats stats = sim.Stats();
   for (std::size_t t = 0; t < config.num_tags; ++t) {
     if (is_rogue[t] || polluted[t]) continue;
@@ -199,7 +97,7 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
     const std::size_t silence_bound =
         health::QuarantineDetectionBound(sim_cfg.supervisor);
     for (std::size_t t = 0; t < config.num_tags; ++t) {
-      const impair::RogueSpec s = SpecFor(config.rogue, t);
+      const impair::RogueSpec s = SpecOf(sim, t);
       switch (s.model) {
         case impair::RogueModel::kBabbler:
         case impair::RogueModel::kSlotThief:
@@ -256,35 +154,24 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
       a.parked_at_end = supervisor->health(a.wire_id - 1) ==
                         health::TagHealth::kQuarantined;
       if (!a.quarantined) {
-        violate(total_rounds, "no_detection",
+        log.Add(total_rounds, "no_detection",
                 Fmt("model=%s wire_id=%u", a.model.c_str(), a.wire_id));
       } else if (!a.bound_met) {
-        violate(total_rounds, "detection_late",
+        log.Add(total_rounds, "detection_late",
                 Fmt("model=%s wire_id=%u round=%zu bound=%zu",
                     a.model.c_str(), a.wire_id, a.quarantine_round, a.bound));
       } else if (!a.parked_at_end) {
-        violate(total_rounds, "containment_lost",
+        log.Add(total_rounds, "containment_lost",
                 Fmt("model=%s wire_id=%u", a.model.c_str(), a.wire_id));
       }
     }
   }
 
+  result.violations = std::move(log.recorded);
+  result.violations_total = log.total;
   result.passed = result.violations_total == 0;
 
-  // Triage aid (docs/observability.md): FREERIDER_ADVERSARIAL_DEBUG=1
-  // dumps the flight-recorder ring as JSONL to stderr — the same event
-  // stream `tools/trace_dump` reads from the exported campaign. Never
-  // drawn from, never on by default.
-  if (std::getenv("FREERIDER_ADVERSARIAL_DEBUG") != nullptr) {
-    std::fprintf(stderr, "%s",
-                 obs::TraceToJsonl("adversarial", ring).c_str());
-  }
-
-  std::string digest;
-  for (const StressViolation& v : result.violations) {
-    digest += Fmt("violation round=%zu kind=%s %s\n", v.round,
-                  v.kind.c_str(), v.detail.c_str());
-  }
+  std::string digest = ViolationDigest(result.violations);
   for (const RogueAudit& a : result.audits) {
     digest += Fmt(
         "audit model=%s wire_id=%u quarantined=%d round=%zu bound=%zu "
@@ -310,100 +197,37 @@ AdversarialResult RunAdversarial(const AdversarialConfig& config) {
   return result;
 }
 
+namespace {
+
+constexpr auto kAdversarialResultFields = [](auto& io, auto& r) {
+  const auto audit = [](auto& io, auto& a) {
+    return io.Size(a.tag) && io.U8(a.wire_id) && io.Str(a.model) &&
+           io.Bool(a.via_misbehavior) && io.Bool(a.quarantined) &&
+           io.Bool(a.bound_met) && io.Bool(a.parked_at_end) &&
+           io.Size(a.quarantine_round) && io.Size(a.bound);
+  };
+  return io.Bool(r.passed) && io.F64(r.victim_delivery) &&
+         io.Size(r.victim_offered) && io.Size(r.victim_delivered) &&
+         io.Size(r.rogue_extra_frames) && io.Size(r.rx_invalid_id) &&
+         io.Size(r.replay_rejected) && io.Size(r.stale_rejected) &&
+         io.Size(r.police_evidence) && io.Size(r.collision_suspicions) &&
+         io.Size(r.misbehavior_quarantines) && io.Size(r.bans) &&
+         io.Size(r.forged_heard) && io.Size(r.forged_rejected) &&
+         io.Size(r.forged_accepted) && io.List(r.audits, 1024, audit) &&
+         io.List(r.violations, AdversarialResult::kMaxRecordedViolations,
+                 kViolationFields) &&
+         io.Size(r.violations_total) && io.Str(r.digest) && io.Str(r.trace);
+};
+
+}  // namespace
+
 std::string SerializeAdversarialResult(const AdversarialResult& result) {
-  runtime::PayloadWriter w;
-  w.U64(result.passed ? 1 : 0);
-  w.F64(result.victim_delivery);
-  w.U64(result.victim_offered);
-  w.U64(result.victim_delivered);
-  w.U64(result.rogue_extra_frames);
-  w.U64(result.rx_invalid_id);
-  w.U64(result.replay_rejected);
-  w.U64(result.stale_rejected);
-  w.U64(result.police_evidence);
-  w.U64(result.collision_suspicions);
-  w.U64(result.misbehavior_quarantines);
-  w.U64(result.bans);
-  w.U64(result.forged_heard);
-  w.U64(result.forged_rejected);
-  w.U64(result.forged_accepted);
-  w.U64(result.audits.size());
-  for (const RogueAudit& a : result.audits) {
-    w.U64(a.tag);
-    w.U64(a.wire_id);
-    w.Str(a.model);
-    w.U64(a.via_misbehavior ? 1 : 0);
-    w.U64(a.quarantined ? 1 : 0);
-    w.U64(a.bound_met ? 1 : 0);
-    w.U64(a.parked_at_end ? 1 : 0);
-    w.U64(a.quarantine_round);
-    w.U64(a.bound);
-  }
-  w.U64(result.violations.size());
-  for (const StressViolation& v : result.violations) {
-    w.U64(v.round);
-    w.Str(v.kind);
-    w.Str(v.detail);
-  }
-  w.U64(result.violations_total);
-  w.Str(result.digest);
-  w.Str(result.trace);
-  return w.Take();
+  return EncodeFields(result, kAdversarialResultFields);
 }
 
 bool DeserializeAdversarialResult(const std::string& payload,
                                   AdversarialResult* result) {
-  runtime::PayloadReader r(payload);
-  AdversarialResult out;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  auto b = [&](bool* field) {
-    if (!r.U64(&v) || v > 1) return false;
-    *field = v == 1;
-    return true;
-  };
-  std::size_t num_audits = 0;
-  if (!b(&out.passed) || !r.F64(&out.victim_delivery) ||
-      !u(&out.victim_offered) || !u(&out.victim_delivered) ||
-      !u(&out.rogue_extra_frames) || !u(&out.rx_invalid_id) ||
-      !u(&out.replay_rejected) || !u(&out.stale_rejected) ||
-      !u(&out.police_evidence) || !u(&out.collision_suspicions) ||
-      !u(&out.misbehavior_quarantines) || !u(&out.bans) ||
-      !u(&out.forged_heard) || !u(&out.forged_rejected) ||
-      !u(&out.forged_accepted) || !u(&num_audits) || num_audits > 1024) {
-    return false;
-  }
-  out.audits.resize(num_audits);
-  for (RogueAudit& a : out.audits) {
-    std::uint64_t wire_id = 0;
-    if (!u(&a.tag) || !r.U64(&wire_id) || wire_id > 255 || !r.Str(&a.model) ||
-        !b(&a.via_misbehavior) || !b(&a.quarantined) || !b(&a.bound_met) ||
-        !b(&a.parked_at_end) || !u(&a.quarantine_round) || !u(&a.bound)) {
-      return false;
-    }
-    a.wire_id = static_cast<std::uint8_t>(wire_id);
-  }
-  std::size_t num_violations = 0;
-  if (!u(&num_violations) ||
-      num_violations > AdversarialResult::kMaxRecordedViolations) {
-    return false;
-  }
-  out.violations.resize(num_violations);
-  for (StressViolation& viol : out.violations) {
-    if (!u(&viol.round) || !r.Str(&viol.kind) || !r.Str(&viol.detail)) {
-      return false;
-    }
-  }
-  if (!u(&out.violations_total) || !r.Str(&out.digest) ||
-      !r.Str(&out.trace) || !r.AtEnd()) {
-    return false;
-  }
-  *result = std::move(out);
-  return true;
+  return DecodeFields(payload, result, kAdversarialResultFields);
 }
 
 }  // namespace freerider::sim

@@ -9,7 +9,9 @@
 // run is audited against the defense contract:
 //
 //   * transport invariants — per audited id, deliveries advance the
-//     sequence space strictly forward (the same tracker as sim/stress);
+//     sequence space strictly forward (the campaign core's
+//     DeliveryAudit, sim/campaign.h, shared with sim/soak and
+//     sim/stress);
 //     with defenses on this must hold for *every* id including the
 //     rogues' — a replayed frame that sneaks through the wrap shows up
 //     here as a duplicate/reorder violation;
@@ -28,6 +30,11 @@
 // identities clones pollute are excluded): the bench's headline is the
 // defended victims' floor vs the undefended collapse.
 //
+// The round loop is the campaign core's AuditedCampaign; this harness
+// adds the cast lists (read from the rogue engine's normalised spec),
+// the stale-delivery check, the per-rogue audits and the 64-violation
+// recording cap.
+//
 // Determinism contract: identical to sim/stress — everything derives
 // from AdversarialConfig, the rogue engine runs on counter-based
 // streams, and the result digest is bit-stable across runs, thread
@@ -38,8 +45,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign.h"
 #include "sim/multitag.h"
-#include "sim/stress.h"
 
 namespace freerider::sim {
 
@@ -114,7 +121,7 @@ struct AdversarialResult {
   std::vector<RogueAudit> audits;
   /// First kMaxRecordedViolations violations verbatim; the total keeps
   /// counting past the cap.
-  std::vector<StressViolation> violations;
+  std::vector<AuditViolation> violations;
   std::size_t violations_total = 0;
   /// Canonical outcome string (doubles in hex-float): two runs agree
   /// iff their digests are equal byte-for-byte.

@@ -3,158 +3,63 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
-#include "runtime/checkpoint.h"
+#include "sim/campaign.h"
 
 namespace freerider::sim {
-namespace {
-
-// ------------------------------------------------------------ helpers
-
-std::string Fmt(const char* format, ...) {
-  va_list args;
-  va_start(args, format);
-  va_list measure;
-  va_copy(measure, args);
-  const int size = std::vsnprintf(nullptr, 0, format, measure);
-  va_end(measure);
-  std::string out(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  std::vsnprintf(out.data(), out.size() + 1, format, args);
-  va_end(args);
-  return out;
-}
-
-// ---------------------------------------------------------- run state
-
-/// Per-tag sequence-space tracker. `position` counts every sequence
-/// the application stream has consumed (delivered or explicitly
-/// skipped) since round 0 — its low 8 bits are the next expected
-/// on-air sequence number, and unlike the mod-256 value it can never
-/// alias after a wrap.
-struct TagTrack {
-  std::uint64_t position = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t skipped = 0;
-};
-
-}  // namespace
 
 SoakResult RunSoak(const SoakConfig& config) {
-  FullStackConfig sim_cfg;
-  sim_cfg.num_tags = config.num_tags;
-  sim_cfg.rounds = config.rounds + config.drain_rounds;
-  sim_cfg.transport = config.transport;
-  sim_cfg.transport.enabled = true;
+  const CampaignShape shape = CampaignShape::Of(config);
+  FullStackConfig sim_cfg = CampaignSimConfig(shape, config.transport);
   sim_cfg.reserve_impairment_stream = true;
   sim_cfg.trace = config.trace;
-  sim_cfg.offered_per_round = 0;  // the harness schedules offers itself
-
-  Rng rng(config.seed);
-  FullStackSim sim(sim_cfg, rng);
-  SoakResult result;
-  std::vector<TagTrack> track(config.num_tags);
-
-  auto violate = [&](std::size_t round, const char* kind,
-                     std::string detail) {
-    result.violations.push_back({round, kind, std::move(detail)});
-  };
+  AuditedCampaign campaign(shape, sim_cfg, DeliveryAudit::Anchor::kSeqZero);
+  ViolationLog& log = campaign.log();
 
   std::size_t next_segment = 0;
   std::size_t prev_expired = 0;
   std::size_t prev_rejected = 0;
-  const std::size_t total_rounds = config.rounds + config.drain_rounds;
-  for (std::size_t round = 0; round < total_rounds; ++round) {
+  CampaignHooks hooks;
+  hooks.before_round = [&](std::size_t round, FullStackSim& sim) {
     while (next_segment < config.schedule.size() &&
            config.schedule[next_segment].start_round <= round) {
       sim.SetImpairments(config.schedule[next_segment].impairments);
       ++next_segment;
     }
-    const bool offering = round < config.rounds &&
-                          config.offer_every != 0 &&
-                          round % config.offer_every == 0;
-    sim.SetOfferedPerRound(offering ? 1 : 0);
-
-    const RoundReport report = sim.StepRound();
-
-    // Index this round's hole-skips per tag (at most one per tag per
-    // round). A skip advances the application stream exactly like a
-    // delivery, and the post-skip flush in report.delivered lands
-    // *after* the skip in sequence space.
-    std::vector<std::optional<std::uint8_t>> skip(config.num_tags);
-    for (const RoundReport::Delivery& s : report.skipped) {
-      skip[s.tag_id - 1] = s.seq;
-    }
-    auto consume_skip = [&](std::size_t t) {
-      TagTrack& tk = track[t];
-      if (skip[t].has_value() &&
-          *skip[t] == static_cast<std::uint8_t>(tk.position)) {
-        skip[t].reset();
-        ++tk.position;
-        ++tk.skipped;
-        return true;
-      }
-      return false;
+  };
+  if (config.strict) {
+    hooks.on_lone_skip = [&](std::size_t round, std::size_t tag,
+                             std::uint8_t seq) {
+      log.Add(round, "skip", Fmt("tag=%zu seq=%u", tag + 1, seq));
     };
-
-    for (const RoundReport::Delivery& d : report.delivered) {
-      const std::size_t t = d.tag_id - 1;
-      TagTrack& tk = track[t];
-      if (d.seq != static_cast<std::uint8_t>(tk.position)) {
-        // The expected sequence may have been skipped this round; the
-        // post-skip flush is then in order again.
-        consume_skip(t);
-      }
-      const std::uint8_t expected = static_cast<std::uint8_t>(tk.position);
-      if (d.seq == expected) {
-        ++tk.position;
-        ++tk.delivered;
-        continue;
-      }
-      const bool behind =
-          transport::SeqDistance(d.seq, expected) < 128 && d.seq != expected;
-      violate(round, behind ? "duplicate" : "reorder",
-              Fmt("tag=%u seq=%u expected=%u", d.tag_id, d.seq, expected));
-    }
-    for (std::size_t t = 0; t < config.num_tags; ++t) {
-      if (!skip[t].has_value()) continue;
-      const std::uint8_t expected = static_cast<std::uint8_t>(track[t].position);
-      if (!consume_skip(t)) {
-        violate(round, "skip-out-of-order",
-                Fmt("tag=%zu seq=%u expected=%u", t + 1, *skip[t], expected));
-      } else if (config.strict) {
-        violate(round, "skip",
-                Fmt("tag=%zu seq=%u", t + 1, expected));
-      }
-    }
-
-    if (config.strict) {
+    hooks.after_round = [&](std::size_t round, const FullStackSim& sim) {
       const FullStackStats snap = sim.Stats();
       if (snap.transport_expired > prev_expired) {
-        violate(round, "expired",
+        log.Add(round, "expired",
                 Fmt("frames=%zu", snap.transport_expired - prev_expired));
       }
       if (snap.transport_rejected_full > prev_rejected) {
-        violate(round, "queue-full",
+        log.Add(round, "queue-full",
                 Fmt("frames=%zu",
                     snap.transport_rejected_full - prev_rejected));
       }
       prev_expired = snap.transport_expired;
       prev_rejected = snap.transport_rejected_full;
-    }
+    };
   }
+  campaign.Run(hooks);
 
   // End-of-drain verdicts: nothing may be stuck, and in strict mode
   // everything accepted must have been delivered (or show up above as
   // an expiry/skip violation — never vanish silently).
+  const std::size_t total_rounds = shape.total_rounds();
   for (std::size_t t = 0; t < config.num_tags; ++t) {
-    const transport::TagTransport* arq = sim.tag_transport(t);
+    const transport::TagTransport* arq = campaign.sim().tag_transport(t);
     if (arq->HasPending()) {
-      violate(total_rounds, "stuck",
+      log.Add(total_rounds, "stuck",
               Fmt("tag=%zu pending=%zu", t + 1, arq->pending()));
     }
     // Every accepted-but-undelivered frame must be explained by an
@@ -162,27 +67,24 @@ SoakResult RunSoak(const SoakConfig& config) {
     // overlap on the same sequence) or still be pending (reported as
     // stuck above). A shortfall beyond that is silent loss: a frame
     // vanished without any invariant-visible event.
-    const std::uint64_t undelivered =
-        arq->stats().offered - track[t].delivered;
+    const std::uint64_t delivered = campaign.audit().delivered(t);
+    const std::uint64_t undelivered = arq->stats().offered - delivered;
     const std::uint64_t explained =
-        arq->stats().expired + track[t].skipped + arq->pending();
+        arq->stats().expired + campaign.audit().skipped(t) + arq->pending();
     if (undelivered > explained) {
-      violate(total_rounds, "lost",
+      log.Add(total_rounds, "lost",
               Fmt("tag=%zu offered=%zu delivered=%" PRIu64
                   " explained=%" PRIu64,
-                  t + 1, arq->stats().offered, track[t].delivered,
-                  explained));
+                  t + 1, arq->stats().offered, delivered, explained));
     }
   }
 
-  result.stats = sim.Stats();
+  SoakResult result;
+  result.stats = campaign.sim().Stats();
+  result.violations = std::move(log.recorded);
   result.passed = result.violations.empty();
 
-  std::string digest;
-  for (const SoakViolation& v : result.violations) {
-    digest += Fmt("violation round=%zu kind=%s %s\n", v.round,
-                  v.kind.c_str(), v.detail.c_str());
-  }
+  std::string digest = ViolationDigest(result.violations);
   const FullStackStats& s = result.stats;
   digest += Fmt(
       "stats rounds=%zu slots=%zu raw=%zu offered=%zu delivered=%zu "
@@ -726,109 +628,41 @@ namespace {
 
 constexpr std::uint64_t kSoakResultVersion = 1;
 
+constexpr auto kSoakResultFields = [](auto& io, auto& r) {
+  auto& s = r.stats;
+  auto& f = s.fault_counters;
+  const auto size = [](auto& io, auto& v) { return io.Size(v); };
+  return io.Const(kSoakResultVersion) && io.Bool(r.passed) &&
+         io.List(r.violations, std::size_t{1} << 24, kViolationFields) &&
+         io.Size(s.rounds) && io.Size(s.slots_total) &&
+         io.Size(s.deliveries) && io.Size(s.observed_collisions) &&
+         io.Size(s.observed_empties) &&
+         io.List(s.per_tag_deliveries, std::size_t{1} << 16, size) &&
+         io.F64(s.airtime_s) && io.F64(s.goodput_bps) &&
+         io.F64(s.jain_fairness) && io.Size(s.faults_injected) &&
+         io.Size(s.desync_events) && io.Size(s.sequence_gaps) &&
+         io.Size(s.reannouncements) && io.Size(s.rounds_recovered) &&
+         io.F64(s.backoff_airtime_s) && io.Size(f.cfo_rotations) &&
+         io.Size(f.window_slips) && io.Size(f.interferer_bursts) &&
+         io.Size(f.excitation_dropouts) && io.Size(f.pulses_dropped) &&
+         io.Size(f.pulses_spurious) && io.Size(f.pulses_jittered) &&
+         io.Size(s.transport_offered) && io.Size(s.transport_delivered) &&
+         io.Size(s.transport_duplicates) &&
+         io.Size(s.transport_retransmissions) &&
+         io.Size(s.transport_expired) && io.Size(s.transport_holes_skipped) &&
+         io.Size(s.transport_acked) && io.Size(s.transport_escalations) &&
+         io.Size(s.transport_ext_rejected) &&
+         io.Size(s.transport_rejected_full) && io.Str(r.digest);
+};
+
 }  // namespace
 
 std::string SerializeSoakResult(const SoakResult& result) {
-  runtime::PayloadWriter w;
-  w.U64(kSoakResultVersion);
-  w.U64(result.passed ? 1 : 0);
-  w.U64(result.violations.size());
-  for (const SoakViolation& v : result.violations) {
-    w.U64(v.round);
-    w.Str(v.kind);
-    w.Str(v.detail);
-  }
-  const FullStackStats& s = result.stats;
-  w.U64(s.rounds);
-  w.U64(s.slots_total);
-  w.U64(s.deliveries);
-  w.U64(s.observed_collisions);
-  w.U64(s.observed_empties);
-  w.U64(s.per_tag_deliveries.size());
-  for (std::size_t d : s.per_tag_deliveries) w.U64(d);
-  w.F64(s.airtime_s);
-  w.F64(s.goodput_bps);
-  w.F64(s.jain_fairness);
-  w.U64(s.faults_injected);
-  w.U64(s.desync_events);
-  w.U64(s.sequence_gaps);
-  w.U64(s.reannouncements);
-  w.U64(s.rounds_recovered);
-  w.F64(s.backoff_airtime_s);
-  w.U64(s.fault_counters.cfo_rotations);
-  w.U64(s.fault_counters.window_slips);
-  w.U64(s.fault_counters.interferer_bursts);
-  w.U64(s.fault_counters.excitation_dropouts);
-  w.U64(s.fault_counters.pulses_dropped);
-  w.U64(s.fault_counters.pulses_spurious);
-  w.U64(s.fault_counters.pulses_jittered);
-  w.U64(s.transport_offered);
-  w.U64(s.transport_delivered);
-  w.U64(s.transport_duplicates);
-  w.U64(s.transport_retransmissions);
-  w.U64(s.transport_expired);
-  w.U64(s.transport_holes_skipped);
-  w.U64(s.transport_acked);
-  w.U64(s.transport_escalations);
-  w.U64(s.transport_ext_rejected);
-  w.U64(s.transport_rejected_full);
-  w.Str(result.digest);
-  return w.Take();
+  return EncodeFields(result, kSoakResultFields);
 }
 
 bool DeserializeSoakResult(const std::string& payload, SoakResult* result) {
-  runtime::PayloadReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kSoakResultVersion) return false;
-  SoakResult out;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  std::uint64_t passed = 0;
-  if (!r.U64(&passed) || passed > 1) return false;
-  out.passed = passed == 1;
-  std::size_t violations = 0;
-  if (!u(&violations) || violations > (1u << 24)) return false;
-  out.violations.resize(violations);
-  for (SoakViolation& viol : out.violations) {
-    if (!u(&viol.round) || !r.Str(&viol.kind) || !r.Str(&viol.detail)) {
-      return false;
-    }
-  }
-  FullStackStats& s = out.stats;
-  std::size_t tags = 0;
-  if (!u(&s.rounds) || !u(&s.slots_total) || !u(&s.deliveries) ||
-      !u(&s.observed_collisions) || !u(&s.observed_empties) || !u(&tags) ||
-      tags > (1u << 16)) {
-    return false;
-  }
-  s.per_tag_deliveries.resize(tags);
-  for (std::size_t& d : s.per_tag_deliveries) {
-    if (!u(&d)) return false;
-  }
-  if (!r.F64(&s.airtime_s) || !r.F64(&s.goodput_bps) ||
-      !r.F64(&s.jain_fairness) || !u(&s.faults_injected) ||
-      !u(&s.desync_events) || !u(&s.sequence_gaps) ||
-      !u(&s.reannouncements) || !u(&s.rounds_recovered) ||
-      !r.F64(&s.backoff_airtime_s) || !u(&s.fault_counters.cfo_rotations) ||
-      !u(&s.fault_counters.window_slips) ||
-      !u(&s.fault_counters.interferer_bursts) ||
-      !u(&s.fault_counters.excitation_dropouts) ||
-      !u(&s.fault_counters.pulses_dropped) ||
-      !u(&s.fault_counters.pulses_spurious) ||
-      !u(&s.fault_counters.pulses_jittered) || !u(&s.transport_offered) ||
-      !u(&s.transport_delivered) || !u(&s.transport_duplicates) ||
-      !u(&s.transport_retransmissions) || !u(&s.transport_expired) ||
-      !u(&s.transport_holes_skipped) || !u(&s.transport_acked) ||
-      !u(&s.transport_escalations) || !u(&s.transport_ext_rejected) ||
-      !u(&s.transport_rejected_full) || !r.Str(&out.digest) || !r.AtEnd()) {
-    return false;
-  }
-  *result = std::move(out);
-  return true;
+  return DecodeFields(payload, result, kSoakResultFields);
 }
 
 }  // namespace freerider::sim

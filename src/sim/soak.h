@@ -4,7 +4,11 @@
 // thousands of rounds under a *schedule* of impairment mixes — loss
 // regimes switch mid-run, exactly the regime changes the selective-
 // repeat machinery has to survive — and checks the transport's
-// end-to-end invariants against every round's RoundReport:
+// end-to-end invariants against every round's RoundReport. The round
+// loop and the no-duplicate / no-reorder ledger are the shared
+// campaign core (sim/campaign.h: AuditedCampaign, DeliveryAudit), with
+// every tag anchored at seq 0; the soak adds the impairment schedule
+// and its strict-mode checks:
 //
 //   * no duplicate   — each (tag, seq) is app-delivered at most once;
 //   * no reorder     — per tag, deliveries (and explicit hole-skips)
@@ -31,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign.h"
 #include "sim/multitag.h"
 
 namespace freerider::sim {
@@ -72,15 +77,9 @@ struct SoakConfig {
   obs::TraceRing* trace = nullptr;
 };
 
-struct SoakViolation {
-  std::size_t round = 0;
-  std::string kind;    ///< duplicate | reorder | skip | expired | ...
-  std::string detail;  ///< Human-readable specifics (tag, seq, ...).
-};
-
 struct SoakResult {
   bool passed = false;
-  std::vector<SoakViolation> violations;
+  std::vector<AuditViolation> violations;
   FullStackStats stats;
   /// Canonical outcome string: every violation plus a stats digest,
   /// doubles in hex-float. Two runs agree iff their digests are equal

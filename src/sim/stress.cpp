@@ -1,57 +1,22 @@
 #include "sim/stress.h"
 
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <set>
 #include <utility>
 
-#include "runtime/checkpoint.h"
+#include "sim/campaign.h"
 
 namespace freerider::sim {
-namespace {
-
-std::string Fmt(const char* format, ...) {
-  va_list args;
-  va_start(args, format);
-  va_list measure;
-  va_copy(measure, args);
-  const int size = std::vsnprintf(nullptr, 0, format, measure);
-  va_end(measure);
-  std::string out(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  std::vsnprintf(out.data(), out.size() + 1, format, args);
-  va_end(args);
-  return out;
-}
-
-/// Per-tag sequence-space tracker (64-bit position, so it never
-/// aliases across 8-bit wraps). Re-anchored when the transport
-/// declares an explicit stream resync — the one sanctioned repeat.
-struct TagTrack {
-  bool anchored = false;
-  std::uint64_t position = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t skipped = 0;
-  std::size_t resyncs_seen = 0;
-};
-
-}  // namespace
 
 StressResult RunStress(const StressConfig& config) {
-  FullStackConfig sim_cfg;
-  sim_cfg.num_tags = config.num_tags;
-  sim_cfg.rounds = config.rounds + config.drain_rounds;
-  sim_cfg.transport = config.transport;
-  sim_cfg.transport.enabled = true;
+  const CampaignShape shape = CampaignShape::Of(config);
+  FullStackConfig sim_cfg = CampaignSimConfig(shape, config.transport);
   sim_cfg.supervisor = config.supervisor;
   sim_cfg.supervisor.enabled = config.supervisor_on;
   sim_cfg.dynamics = config.dynamics;
-  sim_cfg.offered_per_round = 0;  // the harness schedules offers itself
   if (config.HasDeadTag()) {
     impair::BlackoutWindow death;
     death.begin_round = config.dead_round;
-    death.end_round = config.rounds + config.drain_rounds + 1;
+    death.end_round = shape.total_rounds() + 1;
     death.tags = {config.dead_tag};
     sim_cfg.dynamics.blackouts.push_back(death);
   }
@@ -59,96 +24,23 @@ StressResult RunStress(const StressConfig& config) {
   obs::TraceRing ring(config.trace_capacity > 0 ? config.trace_capacity : 1);
   if (config.trace_capacity > 0) sim_cfg.trace = &ring;
 
-  Rng rng(config.seed);
-  FullStackSim sim(sim_cfg, rng);
-  StressResult result;
-  std::vector<TagTrack> track(config.num_tags);
-
-  auto violate = [&](std::size_t round, const char* kind,
-                     std::string detail) {
-    result.violations.push_back({round, kind, std::move(detail)});
-  };
-
-  const std::size_t total_rounds = config.rounds + config.drain_rounds;
-  for (std::size_t round = 0; round < total_rounds; ++round) {
-    const bool offering = round < config.rounds && config.offer_every != 0 &&
-                          round % config.offer_every == 0;
-    sim.SetOfferedPerRound(offering ? 1 : 0);
+  AuditedCampaign campaign(shape, sim_cfg,
+                           DeliveryAudit::Anchor::kFirstHeard);
+  CampaignHooks hooks;
+  if (config.HasDeadTag()) {
     // The workload stops addressing the dead tag once it dies — the
     // way real traffic sources drop an unplugged node. Frames already
     // queued at death stay offered (and charged) in both arms.
-    if (config.HasDeadTag() && round == config.dead_round) {
-      sim.SetTagOffering(config.dead_tag, false);
-    }
-
-    const RoundReport report = sim.StepRound();
-
-    // A resync this round re-anchors the tag's tracker: the transport
-    // deliberately forgot the old delivery point, and the sequences it
-    // delivers next are anchored to the first frame heard.
-    for (std::size_t t = 0; t < config.num_tags; ++t) {
-      const std::size_t resyncs =
-          sim.coordinator_transport()->rx(t).stats().resyncs;
-      if (resyncs != track[t].resyncs_seen) {
-        track[t].resyncs_seen = resyncs;
-        track[t].anchored = false;
-      }
-    }
-
-    std::vector<std::optional<std::uint8_t>> skip(config.num_tags);
-    for (const RoundReport::Delivery& s : report.skipped) {
-      skip[s.tag_id - 1] = s.seq;
-    }
-    auto consume_skip = [&](std::size_t t) {
-      TagTrack& tk = track[t];
-      if (tk.anchored && skip[t].has_value() &&
-          *skip[t] == static_cast<std::uint8_t>(tk.position)) {
-        skip[t].reset();
-        ++tk.position;
-        ++tk.skipped;
-        return true;
-      }
-      return false;
+    hooks.before_round = [&](std::size_t round, FullStackSim& sim) {
+      if (round == config.dead_round) sim.SetTagOffering(config.dead_tag, false);
     };
-
-    for (const RoundReport::Delivery& d : report.delivered) {
-      const std::size_t t = d.tag_id - 1;
-      TagTrack& tk = track[t];
-      if (!tk.anchored) {
-        tk.anchored = true;
-        tk.position = d.seq;
-      }
-      if (d.seq != static_cast<std::uint8_t>(tk.position)) {
-        consume_skip(t);
-      }
-      const std::uint8_t expected = static_cast<std::uint8_t>(tk.position);
-      if (d.seq == expected) {
-        ++tk.position;
-        ++tk.delivered;
-        continue;
-      }
-      const bool behind = transport::SeqDistance(d.seq, expected) < 128;
-      violate(round, behind ? "duplicate" : "reorder",
-              Fmt("tag=%u seq=%u expected=%u", d.tag_id, d.seq, expected));
-    }
-    for (std::size_t t = 0; t < config.num_tags; ++t) {
-      if (!skip[t].has_value()) continue;
-      if (!track[t].anchored) {
-        // A skip before any delivery anchors the stream one past it.
-        track[t].anchored = true;
-        track[t].position = static_cast<std::uint64_t>(*skip[t]) + 1;
-        ++track[t].skipped;
-        continue;
-      }
-      const std::uint8_t expected =
-          static_cast<std::uint8_t>(track[t].position);
-      if (!consume_skip(t)) {
-        violate(round, "skip-out-of-order",
-                Fmt("tag=%zu seq=%u expected=%u", t + 1, *skip[t], expected));
-      }
-    }
   }
+  campaign.Run(hooks);
 
+  const FullStackSim& sim = campaign.sim();
+  ViolationLog& log = campaign.log();
+  const std::size_t total_rounds = shape.total_rounds();
+  StressResult result;
   const FullStackStats stats = sim.Stats();
   result.offered = stats.transport_offered;
   result.delivered = stats.transport_delivered;
@@ -157,14 +49,6 @@ StressResult RunStress(const StressConfig& config) {
   result.duplicates = stats.transport_duplicates;
   result.skipped = stats.transport_holes_skipped;
   result.faded_frames = stats.faded_frames;
-  // Triage aid (docs/observability.md): FREERIDER_STRESS_DEBUG=1 dumps
-  // the flight-recorder ring as JSONL to stderr — the same event
-  // stream `tools/trace_dump` reads from the exported campaign, so a
-  // failing test and the recorded artifact show identical evidence.
-  // Never drawn from, never on by default.
-  if (std::getenv("FREERIDER_STRESS_DEBUG") != nullptr) {
-    std::fprintf(stderr, "%s", obs::TraceToJsonl("stress", ring).c_str());
-  }
   result.blackout_tag_rounds = stats.blackout_tag_rounds;
   result.quarantines = stats.health_quarantines;
   result.recoveries = stats.health_recoveries;
@@ -195,11 +79,11 @@ StressResult RunStress(const StressConfig& config) {
       const transport::TagRxStats& rx =
           sim.coordinator_transport()->rx(t).stats();
       if (rx.resyncs > 0) {
-        violate(total_rounds, "resync_healthy",
+        log.Add(total_rounds, "resync_healthy",
                 Fmt("tag=%zu resyncs=%zu", t + 1, rx.resyncs));
       }
       if (rx.ooo_evicted > 0) {
-        violate(total_rounds, "evict_healthy",
+        log.Add(total_rounds, "evict_healthy",
                 Fmt("tag=%zu evicted=%zu", t + 1, rx.ooo_evicted));
       }
     }
@@ -237,23 +121,20 @@ StressResult RunStress(const StressConfig& config) {
       result.quarantine_bound_met =
           in_quarantine && result.detection_rounds <= result.detection_bound;
       if (!in_quarantine) {
-        violate(total_rounds, "no_quarantine",
+        log.Add(total_rounds, "no_quarantine",
                 Fmt("tag=%u dead_round=%zu", dead_id, config.dead_round));
       } else if (!result.quarantine_bound_met) {
-        violate(total_rounds, "quarantine_late",
+        log.Add(total_rounds, "quarantine_late",
                 Fmt("tag=%u detection=%zu bound=%zu", dead_id,
                     result.detection_rounds, result.detection_bound));
       }
     }
   }
 
+  result.violations = std::move(log.recorded);
   result.passed = result.violations.empty();
 
-  std::string digest;
-  for (const StressViolation& v : result.violations) {
-    digest += Fmt("violation round=%zu kind=%s %s\n", v.round,
-                  v.kind.c_str(), v.detail.c_str());
-  }
+  std::string digest = ViolationDigest(result.violations);
   digest += Fmt(
       "stress ratio=%a offered=%zu delivered=%zu expired=%zu rejfull=%zu "
       "dup=%zu skipped=%zu faded=%zu blackout=%zu quar=%zu recov=%zu "
@@ -272,77 +153,32 @@ StressResult RunStress(const StressConfig& config) {
   return result;
 }
 
+namespace {
+
+constexpr auto kStressResultFields = [](auto& io, auto& r) {
+  return io.Bool(r.passed) && io.F64(r.delivery_ratio) &&
+         io.Size(r.offered) && io.Size(r.delivered) && io.Size(r.expired) &&
+         io.Size(r.rejected_full) && io.Size(r.duplicates) &&
+         io.Size(r.skipped) && io.Size(r.faded_frames) &&
+         io.Size(r.blackout_tag_rounds) && io.Size(r.quarantines) &&
+         io.Size(r.recoveries) && io.Size(r.probes_sent) &&
+         io.Size(r.boost_commands) && io.Size(r.resyncs) &&
+         io.Size(r.ooo_evicted) && io.Bool(r.dead_tag_audited) &&
+         io.Bool(r.quarantine_bound_met) && io.Size(r.quarantine_round) &&
+         io.Size(r.detection_rounds) && io.Size(r.detection_bound) &&
+         io.List(r.violations, std::size_t{1} << 20, kViolationFields) &&
+         io.Str(r.digest) && io.Str(r.trace);
+};
+
+}  // namespace
+
 std::string SerializeStressResult(const StressResult& result) {
-  runtime::PayloadWriter w;
-  w.U64(result.passed ? 1 : 0);
-  w.F64(result.delivery_ratio);
-  w.U64(result.offered);
-  w.U64(result.delivered);
-  w.U64(result.expired);
-  w.U64(result.rejected_full);
-  w.U64(result.duplicates);
-  w.U64(result.skipped);
-  w.U64(result.faded_frames);
-  w.U64(result.blackout_tag_rounds);
-  w.U64(result.quarantines);
-  w.U64(result.recoveries);
-  w.U64(result.probes_sent);
-  w.U64(result.boost_commands);
-  w.U64(result.resyncs);
-  w.U64(result.ooo_evicted);
-  w.U64(result.dead_tag_audited ? 1 : 0);
-  w.U64(result.quarantine_bound_met ? 1 : 0);
-  w.U64(result.quarantine_round);
-  w.U64(result.detection_rounds);
-  w.U64(result.detection_bound);
-  w.U64(result.violations.size());
-  for (const StressViolation& v : result.violations) {
-    w.U64(v.round);
-    w.Str(v.kind);
-    w.Str(v.detail);
-  }
-  w.Str(result.digest);
-  w.Str(result.trace);
-  return w.Take();
+  return EncodeFields(result, kStressResultFields);
 }
 
 bool DeserializeStressResult(const std::string& payload,
                              StressResult* result) {
-  runtime::PayloadReader r(payload);
-  StressResult out;
-  std::uint64_t v = 0;
-  auto u = [&](std::size_t* field) {
-    if (!r.U64(&v)) return false;
-    *field = static_cast<std::size_t>(v);
-    return true;
-  };
-  auto b = [&](bool* field) {
-    if (!r.U64(&v) || v > 1) return false;
-    *field = v == 1;
-    return true;
-  };
-  std::size_t num_violations = 0;
-  if (!b(&out.passed) || !r.F64(&out.delivery_ratio) || !u(&out.offered) ||
-      !u(&out.delivered) || !u(&out.expired) || !u(&out.rejected_full) ||
-      !u(&out.duplicates) || !u(&out.skipped) || !u(&out.faded_frames) ||
-      !u(&out.blackout_tag_rounds) || !u(&out.quarantines) ||
-      !u(&out.recoveries) || !u(&out.probes_sent) ||
-      !u(&out.boost_commands) || !u(&out.resyncs) ||
-      !u(&out.ooo_evicted) || !b(&out.dead_tag_audited) ||
-      !b(&out.quarantine_bound_met) || !u(&out.quarantine_round) ||
-      !u(&out.detection_rounds) || !u(&out.detection_bound) ||
-      !u(&num_violations) || num_violations > (1u << 20)) {
-    return false;
-  }
-  out.violations.resize(num_violations);
-  for (StressViolation& viol : out.violations) {
-    if (!u(&viol.round) || !r.Str(&viol.kind) || !r.Str(&viol.detail)) {
-      return false;
-    }
-  }
-  if (!r.Str(&out.digest) || !r.Str(&out.trace) || !r.AtEnd()) return false;
-  *result = std::move(out);
-  return true;
+  return DecodeFields(payload, result, kStressResultFields);
 }
 
 StressConfig MakeStressBenchConfig(std::uint64_t seed, bool supervisor_on,

@@ -9,9 +9,10 @@
 // audited against the supervisor's contract:
 //
 //   * no duplicate / no reorder — per tag, transport deliveries
-//     advance the sequence space strictly forward (the tracker is
-//     re-anchored across an explicit stream resync, which is the only
-//     place the transport itself allows a repeat);
+//     advance the sequence space strictly forward. This is the shared
+//     campaign core's DeliveryAudit (sim/campaign.h), anchored on the
+//     first frame heard and re-anchored across an explicit stream
+//     resync, the only place the transport itself allows a repeat;
 //   * bounded quarantine detection — a tag configured to die must be
 //     Quarantined within QuarantineDetectionBound() rounds of its
 //     death (or already quarantined when it dies) and must never
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign.h"
 #include "sim/multitag.h"
 
 namespace freerider::sim {
@@ -65,12 +67,6 @@ struct StressConfig {
   bool HasDeadTag() const { return dead_tag < num_tags; }
 };
 
-struct StressViolation {
-  std::size_t round = 0;
-  std::string kind;    ///< duplicate | reorder | resync_healthy | ...
-  std::string detail;
-};
-
 struct StressResult {
   /// All audited invariants held (the delivery target is the bench's
   /// call — it compares on vs off).
@@ -100,7 +96,7 @@ struct StressResult {
   std::size_t quarantine_round = 0;   ///< Round the dead tag was quarantined.
   std::size_t detection_rounds = 0;   ///< Rounds from last heard to quarantine.
   std::size_t detection_bound = 0;    ///< QuarantineDetectionBound(config).
-  std::vector<StressViolation> violations;
+  std::vector<AuditViolation> violations;
   /// Canonical outcome string (doubles in hex-float): two runs agree
   /// iff their digests are equal byte-for-byte.
   std::string digest;

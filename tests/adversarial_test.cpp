@@ -95,6 +95,57 @@ TEST(AdversarialCampaignTest, ReplayerIsEmbargoedAndNeverDelivers) {
   EXPECT_GT(result.victim_delivery, 0.9);
 }
 
+// Digests pinned verbatim: equal reruns alone would not catch a ledger
+// or audit change that moved a verdict. The undefended run records a
+// stale delivery, so violation lines are pinned too.
+TEST(AdversarialCampaignTest, UndefendedReplayerDigestIsPinned) {
+  AdversarialConfig config = SmallCampaign(3, 100, 30);
+  config.rogue.tags[1].model = impair::RogueModel::kSlotThief;
+  config.rogue.tags[2].model = impair::RogueModel::kReplayer;
+  config.defenses_on = false;
+  EXPECT_EQ(RunAdversarial(config).digest,
+            "violation round=81 kind=stale_delivery tag=3 seq=57\n"
+            "adversarial victims=0x0p+0 offered=24 delivered=0 extra=1001 "
+            "invalid=0 replay=0 stale=233 evidence=0 collisions=0 mquar=0 "
+            "bans=0 forged=0/0/0 violations=1\n");
+}
+
+TEST(AdversarialCampaignTest, DefendedCloneAndReplayerDigestIsPinned) {
+  AdversarialConfig config = SmallCampaign(3, 100, 30);
+  config.rogue.tags[1].model = impair::RogueModel::kClone;
+  config.rogue.tags[2].model = impair::RogueModel::kReplayer;
+  config.defenses_on = true;
+  EXPECT_EQ(RunAdversarial(config).digest,
+            "audit model=clone wire_id=1 quarantined=1 round=6 bound=10 "
+            "met=1 parked=1\n"
+            "audit model=clone_own_id wire_id=2 quarantined=1 round=13 "
+            "bound=23 met=1 parked=1\n"
+            "audit model=replayer wire_id=3 quarantined=1 round=3 bound=10 "
+            "met=1 parked=1\n"
+            "adversarial victims=0x0p+0 offered=0 delivered=0 extra=0 "
+            "invalid=0 replay=0 stale=2 evidence=10 collisions=1 mquar=2 "
+            "bans=0 forged=0/0/0 violations=0\n");
+}
+
+// A clone target past the cast is folded to tag 0 by the rogue engine;
+// the audits and the victim set must follow the engine, not the raw
+// spec — the campaign equals one that names tag 0 outright.
+TEST(AdversarialCampaignTest, OutOfRangeCloneTargetFollowsTheEngine) {
+  AdversarialConfig config = SmallCampaign(3, 60, 20);
+  config.rogue.tags[2].model = impair::RogueModel::kClone;
+  config.rogue.tags[2].clone_of = 9;
+  config.defenses_on = true;
+  const AdversarialResult folded = RunAdversarial(config);
+  ASSERT_EQ(folded.audits.size(), 2u);
+  EXPECT_EQ(folded.audits[0].model, "clone");
+  EXPECT_EQ(folded.audits[0].wire_id, 1u);
+  EXPECT_EQ(folded.audits[1].model, "clone_own_id");
+  EXPECT_EQ(folded.audits[1].wire_id, 3u);
+
+  config.rogue.tags[2].clone_of = 0;
+  EXPECT_EQ(folded.digest, RunAdversarial(config).digest);
+}
+
 TEST(AdversarialCampaignTest, DeterministicDigestAndSnapshotRoundTrip) {
   AdversarialConfig config = SmallCampaign(2, 60, 20);
   config.rogue.tags[1].model = impair::RogueModel::kSlotThief;

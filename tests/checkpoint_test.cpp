@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/profile.h"
 #include "runtime/checkpoint.h"
 #include "runtime/executor.h"
 #include "runtime/recovery.h"
@@ -287,6 +288,25 @@ TEST(RecoveryRunner, FreshRunCompletesWithHonestAccounting) {
   ASSERT_TRUE(decoded.ok);
   EXPECT_FALSE(decoded.salvaged);
   EXPECT_EQ(decoded.records.size(), 15u);
+}
+
+TEST(RecoveryRunner, RunSpanIsNamedAfterTheCampaignId) {
+  ScratchFile f("checkpoint_test_span.ckpt");
+  obs::Profiler& profiler = obs::GlobalProfiler();
+  profiler.Reset();
+  Executor executor(2);
+  RobustSweepOptions options;
+  options.checkpoint_path = f.path;
+  options.campaign = 1234567890123ull;
+  RecoveryRunner runner(executor, options);
+  runner.Run({2, 1}, [](std::size_t p, std::size_t) { return U64Result(p); },
+             [](std::size_t, std::size_t, const std::string&) { return true; });
+  bool found = false;
+  for (const obs::ProfileSpan& span : profiler.Spans()) {
+    found = found || span.name == "recovery_run:1234567890123";
+  }
+  EXPECT_TRUE(found);
+  profiler.Reset();
 }
 
 TEST(RecoveryRunner, ResumeSkipsCompletedTasksAndReplaysInGridOrder) {

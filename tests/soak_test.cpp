@@ -119,12 +119,44 @@ TEST(SoakTest, DeliberateViolationReproducesBitForBit) {
   EXPECT_EQ(again.violations.size(), original.violations.size());
 }
 
+// Digests pinned verbatim: a change to the delivery ledger or to the
+// strict-mode checks that moved a verdict would still give two equal
+// runs, so only an absolute digest catches it.
+TEST(SoakTest, BrokenCampaignDigestIsPinned) {
+  EXPECT_EQ(sim::RunSoak(BrokenConfig()).digest,
+            "violation round=1 kind=expired frames=3\n"
+            "violation round=3 kind=expired frames=3\n"
+            "violation round=5 kind=expired frames=3\n"
+            "violation round=7 kind=expired frames=3\n"
+            "violation round=9 kind=expired frames=3\n"
+            "violation round=11 kind=expired frames=3\n"
+            "violation round=13 kind=expired frames=3\n"
+            "violation round=15 kind=expired frames=3\n"
+            "violation round=17 kind=expired frames=3\n"
+            "violation round=19 kind=expired frames=3\n"
+            "violation round=21 kind=expired frames=3\n"
+            "violation round=23 kind=expired frames=3\n"
+            "violation round=25 kind=expired frames=3\n"
+            "violation round=27 kind=expired frames=3\n"
+            "violation round=29 kind=expired frames=3\n"
+            "violation round=31 kind=expired frames=3\n"
+            "violation round=33 kind=expired frames=3\n"
+            "violation round=35 kind=expired frames=3\n"
+            "violation round=37 kind=expired frames=3\n"
+            "violation round=39 kind=expired frames=3\n"
+            "violation round=68 kind=skip tag=2 seq=0\n"
+            "stats rounds=70 slots=295 raw=19 offered=60 delivered=1 dup=0 "
+            "retx=0 expired=60 holes=1 acked=0 esc=0 extrej=0 rejfull=0 "
+            "faults=149 airtime=0x1.655b81301647p+3 "
+            "goodput=0x1.b38d7e23e37e8p+4\n");
+}
+
 TEST(SoakTest, NonStrictModeToleratesGiveUps) {
   sim::SoakConfig config = BrokenConfig();
   config.strict = false;
   const sim::SoakResult result = sim::RunSoak(config);
   // Give-ups (expiry, skips) are allowed; duplicates/reorder are not.
-  for (const sim::SoakViolation& v : result.violations) {
+  for (const auto& v : result.violations) {
     EXPECT_NE(v.kind, "duplicate") << v.detail;
     EXPECT_NE(v.kind, "reorder") << v.detail;
   }

@@ -191,6 +191,16 @@ TEST(StressCampaignTest, RerunIsDigestIdenticalAndPassesItsAudits) {
   EXPECT_GT(first.quarantines, 0u);
 }
 
+// Pinned verbatim: equal reruns alone would not catch a ledger change
+// that moved a verdict.
+TEST(StressCampaignTest, SmallCampaignDigestIsPinned) {
+  EXPECT_EQ(sim::RunStress(SmallStress(true)).digest,
+            "stress ratio=0x1.faee41e6a7498p-1 offered=101 delivered=100 "
+            "expired=0 rejfull=0 dup=20 skipped=0 faded=22 blackout=150 "
+            "quar=2 recov=42 probes=82 boosts=684 resyncs=0 evicted=0 "
+            "qround=106 detect=7 bound=23\n");
+}
+
 TEST(StressCampaignTest, SupervisorOffStillHoldsTransportInvariants) {
   const sim::StressResult result = sim::RunStress(SmallStress(false));
   // No supervisor: no quarantines, no audit — but the transport's
