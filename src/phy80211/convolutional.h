@@ -1,8 +1,10 @@
 // The 802.11 convolutional code (clause 17.3.5.6): constraint length 7,
 // rate 1/2, generators g0 = 133o, g1 = 171o — this is Eq. 9 of the
 // FreeRider paper. Higher rates puncture the 1/2 mother code to 2/3 or
-// 3/4. The decoder is a hard-decision Viterbi with erasure support for
-// the punctured positions.
+// 3/4. The decoders are Viterbi trellises, hard-decision with erasure
+// support for the punctured positions and soft-decision, one
+// implementation each; phy_fastpath_test holds the scalar trellises they
+// replaced as verbatim references.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +35,15 @@ BitVector Depuncture(std::span<const Bit> punctured, CodingRate rate,
 /// maximum-likelihood information sequence (length = coded.size() / 2).
 /// Assumes the encoder started in state 0; traceback ends at the best
 /// final state (callers that append tail bits get state-0 termination
-/// implicitly, since the zero tail drives the trellis home).
+/// implicitly, since the zero tail drives the trellis home). Forwards
+/// to ViterbiDecodeInto with the calling thread's workspace.
 BitVector ViterbiDecode(std::span<const Bit> coded_with_erasures);
 
 /// Soft-decision Viterbi: inputs are per-coded-bit LLR-style metrics
 /// (positive favours 1; 0.0 = erasure/punctured). ~2 dB more coding
 /// gain than the hard decoder — what production 802.11 receivers do.
+/// Forwards to ViterbiDecodeSoftInto with the calling thread's
+/// workspace.
 BitVector ViterbiDecodeSoft(std::span<const double> llrs);
 
 /// Re-insert 0.0 erasures at punctured positions of a soft stream.
@@ -49,26 +54,19 @@ std::vector<double> DepunctureSoft(std::span<const double> punctured,
 /// Number of coded (punctured) bits produced for n info bits at `rate`.
 std::size_t CodedLength(std::size_t info_bits, CodingRate rate);
 
-// --- Fast-path variants -----------------------------------------------
+// --- Workspace forms ---------------------------------------------------
 //
-// ViterbiDecode / ViterbiDecodeSoft above dispatch between the legacy
-// scalar trellis (FREERIDER_PHY_SCALAR=1) and the branchless butterfly
-// kernels below. The kernels are bit-identical to the scalar reference:
-// exact integer path metrics for the hard decoder, and an add-order-
-// preserving multiply-select formulation for the soft decoder (exact
-// for all finite LLRs; see DESIGN.md §13). phy_fastpath_test pins the
-// equivalence exhaustively.
-
-/// Legacy hard-decision trellis, kept verbatim as the reference.
-BitVector ViterbiDecodeScalar(std::span<const Bit> coded_with_erasures);
-
-/// Legacy soft-decision trellis, kept verbatim as the reference.
-BitVector ViterbiDecodeSoftScalar(std::span<const double> llrs);
+// Branchless butterfly kernels, bit-identical to the scalar trellises
+// they replaced (kept verbatim in phy_fastpath_test): exact integer path
+// metrics for the hard decoder, and an add-order-preserving
+// multiply-select formulation for the soft decoder (exact for all finite
+// LLRs; see DESIGN.md §13).
 
 /// Branchless state-major hard decoder. `decisions` is caller-owned
 /// scratch (steps x 64 survivor take-bit bytes, two 32-byte planes per
 /// step) so repeated calls allocate nothing once warm; `out` is resized
-/// to coded.size() / 2.
+/// to coded.size() / 2. Throws std::length_error past 2^28 steps, where
+/// the integer path metrics could wrap.
 void ViterbiDecodeInto(std::span<const Bit> coded_with_erasures,
                        std::vector<std::uint8_t>& decisions, BitVector& out);
 

@@ -1,6 +1,8 @@
 // 802.11a/g OFDM receiver: LTF-based packet detection and channel
 // estimation, SIGNAL decode, per-symbol demodulation, Viterbi decoding
-// and descrambling.
+// and descrambling. There is one chain, allocation-free through a
+// dsp::Workspace; phy_fastpath_test keeps the allocating chain it
+// replaced as a verbatim reference.
 //
 // Two behaviours matter for backscatter (paper §3.2.1):
 //  * Frames with a bad FCS still yield their decoded bit stream (the
@@ -72,21 +74,13 @@ struct RxResult {
 
 /// Attempt to find and decode one frame in `rx`. Returns a result whose
 /// flags describe how far decoding proceeded; `detected == false` means
-/// no preamble cleared the threshold.
-///
-/// Dispatches to the allocation-free fast chain below (with the calling
-/// thread's workspace) unless FREERIDER_PHY_SCALAR=1 pinned the process
-/// to the legacy scalar chain. Both produce identical RxResults on the
-/// campaign inputs (phy_fastpath_test + the CI byte-diffs pin this).
+/// no preamble cleared the threshold. Forwards to the workspace form
+/// below with the calling thread's workspace.
 RxResult ReceiveFrame(const IqBuffer& rx, const RxConfig& config = {});
 
-/// The legacy receive chain, kept verbatim as the reference
-/// implementation (allocating per stage, scalar detector and decoders).
-RxResult ReceiveFrameScalar(const IqBuffer& rx, const RxConfig& config = {});
-
-/// Fast chain: every intermediate buffer lives in `ws` and `result`'s
-/// vectors are cleared-and-refilled, so decoding a frame through a warm
-/// workspace performs zero heap allocations.
+/// Every intermediate buffer lives in `ws` and `result`'s vectors are
+/// cleared-and-refilled, so decoding a frame through a warm workspace
+/// performs zero heap allocations.
 void ReceiveFrame(const IqBuffer& rx, const RxConfig& config,
                   dsp::Workspace& ws, RxResult& result);
 

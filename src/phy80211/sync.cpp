@@ -1,9 +1,9 @@
 #include "phy80211/sync.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
-#include <cstdlib>
-#include <vector>
 
 #include "dsp/kernels.h"
 #include "phy80211/ofdm.h"
@@ -14,7 +14,7 @@ namespace {
 
 // LTF reference split into SoA form once; `energy` uses the same
 // sequential accumulation as the legacy detector so the normalization
-// constant is bit-identical in both paths.
+// constant is bit-identical to it.
 struct LtfSoa {
   std::array<double, kFftSize> re{};
   std::array<double, kFftSize> im{};
@@ -35,10 +35,10 @@ const LtfSoa& LtfPattern() {
   return pattern;
 }
 
-/// Shared peak/validation stage. Both implementations feed it their
-/// ncorr/win_energy arrays; the win_energy doubles are bit-identical
-/// between the two paths (same recurrence), so the degenerate-window
-/// gating decisions below are identical by construction.
+/// Peak/validation stage over the ncorr/win_energy arrays. The
+/// win_energy doubles are bit-identical to the legacy detector's (same
+/// recurrence), so the degenerate-window gating decisions below are
+/// identical to its by construction.
 Detection PickPairPeak(const double* ncorr, const double* win_energy,
                        std::size_t positions, std::size_t rx_size,
                        double threshold) {
@@ -70,51 +70,8 @@ Detection PickPairPeak(const double* ncorr, const double* win_energy,
 
 }  // namespace
 
-bool UseScalarPhy() {
-  static const bool scalar = [] {
-    const char* env = std::getenv("FREERIDER_PHY_SCALAR");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
-  }();
-  return scalar;
-}
-
-Detection DetectPreambleScalar(std::span<const Cplx> rx, double threshold) {
-  static const IqBuffer ltf = LongTrainingSymbol64();
-  static const double ltf_energy = [&] {
-    double e = 0.0;
-    for (const Cplx& x : ltf) e += std::norm(x);
-    return e;
-  }();
-
-  if (rx.size() < ltf.size() + 64) return {};
-
-  // Sliding window energy for normalization.
-  const std::size_t positions = rx.size() - ltf.size() + 1;
-  std::vector<double> win_energy(positions);
-  double acc = 0.0;
-  for (std::size_t n = 0; n < ltf.size(); ++n) acc += std::norm(rx[n]);
-  win_energy[0] = acc;
-  for (std::size_t n = 1; n < positions; ++n) {
-    acc += std::norm(rx[n + ltf.size() - 1]) - std::norm(rx[n - 1]);
-    win_energy[n] = acc;
-  }
-
-  std::vector<double> ncorr(positions, 0.0);
-  for (std::size_t n = 0; n < positions; ++n) {
-    if (win_energy[n] <= 0.0) continue;
-    Cplx c{0.0, 0.0};
-    for (std::size_t k = 0; k < ltf.size(); ++k) {
-      c += rx[n + k] * std::conj(ltf[k]);
-    }
-    ncorr[n] = std::abs(c) / std::sqrt(win_energy[n] * ltf_energy);
-  }
-
-  return PickPairPeak(ncorr.data(), win_energy.data(), positions, rx.size(),
-                      threshold);
-}
-
-Detection DetectPreambleFast(std::span<const Cplx> rx, double threshold,
-                             dsp::Workspace& ws) {
+Detection DetectPreamble(std::span<const Cplx> rx, double threshold,
+                         dsp::Workspace& ws) {
   const LtfSoa& ltf = LtfPattern();
   if (rx.size() < 2 * kFftSize) return {};
   const std::size_t positions = rx.size() - kFftSize + 1;
@@ -166,8 +123,7 @@ Detection DetectPreambleFast(std::span<const Cplx> rx, double threshold,
 }
 
 Detection DetectPreamble(std::span<const Cplx> rx, double threshold) {
-  if (UseScalarPhy()) return DetectPreambleScalar(rx, threshold);
-  return DetectPreambleFast(rx, threshold, dsp::ThreadLocalWorkspace());
+  return DetectPreamble(rx, threshold, dsp::ThreadLocalWorkspace());
 }
 
 }  // namespace freerider::phy80211

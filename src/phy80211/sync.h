@@ -1,26 +1,20 @@
 // 802.11 packet detection: normalized long-training-symbol correlation
 // with the two-peak (64-sample spacing) confirmation rule.
 //
-// Two implementations share one decision contract:
-//  * DetectPreambleScalar — the legacy per-position complex-MAC loop,
-//    kept verbatim as the reference (selected process-wide by
-//    FREERIDER_PHY_SCALAR=1);
-//  * DetectPreambleFast — SoA-split, 4-lane vectorizable correlation
-//    kernel with an energy-gated scan, fed from a dsp::Workspace so the
-//    steady state allocates nothing.
+// The scan is SoA-split and 4-lane vectorizable with an energy gate,
+// fed from a dsp::Workspace so the steady state allocates nothing. Its
+// per-position doubles are deterministic (fixed lane count + reduction
+// tree, see dsp/kernels.h) but not bitwise equal to the per-position
+// complex-MAC loop it replaced; the returned Detection — the only thing
+// the rest of the chain consumes — is. phy_fastpath_test keeps that
+// loop verbatim as its reference and compares Detections across a
+// power sweep, and the pinned 802.11 sweep digest in sim_test covers
+// the campaign inputs.
 //
-// The fast scan's per-position doubles are deterministic (fixed lane
-// count + reduction tree, see dsp/kernels.h) but not bitwise equal to
-// the scalar loop's; the returned Detection — the only thing the rest
-// of the chain consumes — is byte-identical on every input the
-// equivalence suite and the fig 10-17 campaigns exercise, and the
-// perf-smoke CI job byte-diffs the campaign artifacts to keep it so.
-//
-// Both paths validate degenerate inputs identically: windows with
-// non-positive energy are excluded from the peak scan, a best
-// correlation of exactly zero never detects (all-zero buffers), and a
-// candidate whose SIGNAL symbol cannot fit inside the buffer is
-// rejected (truncated captures).
+// Degenerate inputs: windows with non-positive energy are excluded from
+// the peak scan, a best correlation of exactly zero never detects
+// (all-zero buffers), and a candidate whose SIGNAL symbol cannot fit
+// inside the buffer is rejected (truncated captures).
 #pragma once
 
 #include <cstddef>
@@ -36,19 +30,11 @@ struct Detection {
   std::size_t second_ltf_start = 0;  ///< Start of the 2nd long symbol.
 };
 
-/// True when FREERIDER_PHY_SCALAR=1 pinned this process to the legacy
-/// scalar PHY paths (read once, cached).
-bool UseScalarPhy();
-
-/// Dispatching detector: the fast path (thread-local workspace) unless
-/// FREERIDER_PHY_SCALAR=1 selected the legacy loop.
+/// Detect with the calling thread's workspace.
 Detection DetectPreamble(std::span<const Cplx> rx, double threshold);
 
-/// Legacy reference implementation.
-Detection DetectPreambleScalar(std::span<const Cplx> rx, double threshold);
-
-/// Vectorized scan using `ws` for every temporary.
-Detection DetectPreambleFast(std::span<const Cplx> rx, double threshold,
-                             dsp::Workspace& ws);
+/// Detect using `ws` for every temporary.
+Detection DetectPreamble(std::span<const Cplx> rx, double threshold,
+                         dsp::Workspace& ws);
 
 }  // namespace freerider::phy80211

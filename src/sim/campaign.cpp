@@ -64,10 +64,12 @@ void DeliveryAudit::ReanchorResynced(
   }
 }
 
-bool DeliveryAudit::ConsumeSkip(std::size_t tag) {
+bool DeliveryAudit::ConsumeSkip(std::size_t round, std::size_t tag,
+                                const CampaignHooks& hooks) {
   Track& tk = tracks_[tag];
   if (tk.anchored && skip_[tag].has_value() &&
       *skip_[tag] == static_cast<std::uint8_t>(tk.position)) {
+    if (hooks.on_skip) hooks.on_skip(round, tag, *skip_[tag]);
     skip_[tag].reset();
     ++tk.position;
     ++tk.skipped;
@@ -97,7 +99,7 @@ void DeliveryAudit::AuditRound(std::size_t round, const RoundReport& report,
     if (d.seq != static_cast<std::uint8_t>(tk.position)) {
       // The expected seq may have been skipped this round; the
       // post-skip flush is then in order again.
-      ConsumeSkip(t);
+      ConsumeSkip(round, t, hooks);
     }
     const std::uint8_t expected = static_cast<std::uint8_t>(tk.position);
     if (d.seq == expected) {
@@ -121,11 +123,9 @@ void DeliveryAudit::AuditRound(std::size_t round, const RoundReport& report,
       continue;
     }
     const std::uint8_t expected = static_cast<std::uint8_t>(tk.position);
-    if (!ConsumeSkip(t)) {
+    if (!ConsumeSkip(round, t, hooks)) {
       log.Add(round, "skip-out-of-order",
               Fmt("tag=%zu seq=%u expected=%u", t + 1, *skip_[t], expected));
-    } else if (hooks.on_lone_skip) {
-      hooks.on_lone_skip(round, t, expected);
     }
   }
 }

@@ -101,10 +101,11 @@ struct CampaignHooks {
   /// Before each delivery is checked against the ledger.
   std::function<void(std::size_t round, const RoundReport::Delivery& d)>
       on_delivery;
-  /// For each hole skip the ledger consumes on its own, not as the
-  /// head of a same-round post-skip flush. `tag` is 0-based.
+  /// For every hole skip the ledger consumes, whether on its own or as
+  /// the head of a same-round post-skip flush. `seq` is the skipped
+  /// sequence; `tag` is 0-based.
   std::function<void(std::size_t round, std::size_t tag, std::uint8_t seq)>
-      on_lone_skip;
+      on_skip;
   /// After the round's ledger pass.
   std::function<void(std::size_t round, const FullStackSim& sim)>
       after_round;
@@ -149,8 +150,10 @@ class DeliveryAudit {
     std::size_t resyncs_seen = 0;
   };
 
-  /// Consume this round's skip for `tag` if it sits at the position.
-  bool ConsumeSkip(std::size_t tag);
+  /// Consume this round's skip for `tag` if it sits at the position,
+  /// and report it to `hooks.on_skip`.
+  bool ConsumeSkip(std::size_t round, std::size_t tag,
+                   const CampaignHooks& hooks);
 
   std::vector<Track> tracks_;
   /// This round's hole skip per tag (at most one per tag per round).

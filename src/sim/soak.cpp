@@ -31,8 +31,8 @@ SoakResult RunSoak(const SoakConfig& config) {
     }
   };
   if (config.strict) {
-    hooks.on_lone_skip = [&](std::size_t round, std::size_t tag,
-                             std::uint8_t seq) {
+    hooks.on_skip = [&](std::size_t round, std::size_t tag,
+                        std::uint8_t seq) {
       log.Add(round, "skip", Fmt("tag=%zu seq=%u", tag + 1, seq));
     };
     hooks.after_round = [&](std::size_t round, const FullStackSim& sim) {

@@ -567,7 +567,10 @@ TEST(DistRunnerTest, WorkerKillChaosDoesNotPerturbOutput) {
   sim::RegisterDistBodies();
   const std::string baseline = InProcessDigest();
   ScopedEnv bin("FREERIDER_WORKER_BIN", DIST_SWEEP_WORKER);
-  ScopedEnv chaos("FREERIDER_CHAOS", "kill@0:1");
+  // Both initial workers die at their first completed task, so the kill
+  // fires even when one worker wins every lease (it happens under
+  // load). Respawns get spawn index >= 2 and carry no directive.
+  ScopedEnv chaos("FREERIDER_CHAOS", "kill@0:1,kill@1:1");
   std::string digest;
   const DistReport report = sim::ChaosProbeDistributed(
       kProbeSeed, kProbeRounds, kProbeGrid, {}, FleetOptions(2), &digest);
@@ -582,7 +585,9 @@ TEST(DistRunnerTest, FlippedResultFrameIsQuarantinedAtTheCrc) {
   sim::RegisterDistBodies();
   const std::string baseline = InProcessDigest();
   ScopedEnv bin("FREERIDER_WORKER_BIN", DIST_SWEEP_WORKER);
-  ScopedEnv chaos("FREERIDER_CHAOS", "flip@0:1");
+  // Both initial workers flip their first result, for the same reason
+  // as the kill test above.
+  ScopedEnv chaos("FREERIDER_CHAOS", "flip@0:1,flip@1:1");
   std::string digest;
   const DistReport report = sim::ChaosProbeDistributed(
       kProbeSeed, kProbeRounds, kProbeGrid, {}, FleetOptions(2), &digest);

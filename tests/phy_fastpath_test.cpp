@@ -1,29 +1,42 @@
 // Equivalence suite for the SIMD/bit-parallel PHY fast path
-// (DESIGN.md §13): every fast kernel must match its legacy scalar
-// reference bit-for-bit — same decoded bits, same Detection, same
+// (DESIGN.md §13): every fast kernel must match the legacy scalar loop
+// it replaced bit-for-bit — same decoded bits, same Detection, same
 // RxResult down to the float fields — across rates, lengths, erasure
-// phases, SNRs straddling the detection threshold, and workspace reuse.
-// The narrowband half (802.15.4 SHR scan, BLE header search, FIR) keeps
-// the replaced loops verbatim below as its references.
+// phases, SNRs straddling the detection threshold, carrier offsets and
+// workspace reuse. src/ has one implementation of each stage; the
+// replaced loops (802.11 detector, trellises and receive chain, 802.15.4
+// SHR scan, BLE header search, FIR) live below, verbatim, as the
+// references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
+#include <sstream>
+#include <string>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "channel/awgn.h"
 #include "common/bits.h"
 #include "common/crc.h"
 #include "common/rng.h"
+#include "dsp/fft.h"
 #include "dsp/fir.h"
 #include "dsp/kernels.h"
 #include "dsp/signal_ops.h"
 #include "dsp/workspace.h"
+#include "phy80211/constellation.h"
 #include "phy80211/convolutional.h"
+#include "phy80211/interleaver.h"
+#include "phy80211/ofdm.h"
 #include "phy80211/params.h"
 #include "phy80211/receiver.h"
+#include "phy80211/scrambler.h"
 #include "phy80211/sync.h"
 #include "phy80211/transmitter.h"
 #include "phy802154/chips.h"
@@ -35,6 +48,487 @@
 
 namespace freerider::phy80211 {
 namespace {
+
+// --- Legacy convolutional-code helpers and scalar trellises, verbatim. ---
+// Generator taps expressed as delay masks with the *newest* bit in the
+// LSB: g0 = 133 octal touches delays {0,2,3,5,6} (Eq. 9, C1), g1 = 171
+// octal touches delays {0,1,2,3,6} (Eq. 9, C2).
+constexpr std::uint8_t kG0 = 0x6D;
+constexpr std::uint8_t kG1 = 0x4F;
+constexpr int kConstraint = 7;
+constexpr int kNumStates = 1 << (kConstraint - 1);  // 64
+
+constexpr Bit Parity(std::uint8_t x) {
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return static_cast<Bit>(x & 1u);
+}
+
+// Output pair for (state, input). State holds the 6 previous bits with
+// the most recent in the LSB.
+constexpr void BranchOutputs(int state, Bit input, Bit& out_a, Bit& out_b) {
+  // 7-bit window with the newest bit in the LSB; window bit i is the
+  // input delayed by i, so the delay masks apply directly.
+  const std::uint8_t window =
+      static_cast<std::uint8_t>((state << 1) | input);
+  out_a = Parity(window & kG0);
+  out_b = Parity(window & kG1);
+}
+
+/// Scalar-path traceback: decisions pack bits 6..1 = predecessor state,
+/// bit 0 = input, one byte per (step, state).
+template <typename Metric>
+void Traceback(const std::uint8_t* decisions, std::size_t steps,
+               const Metric* final_metric, BitVector& out) {
+  int state = static_cast<int>(
+      std::min_element(final_metric, final_metric + kNumStates) -
+      final_metric);
+  out.resize(steps);
+  for (std::size_t t = steps; t-- > 0;) {
+    const std::uint8_t d = decisions[t * kNumStates + state];
+    out[t] = static_cast<Bit>(d & 1u);
+    state = (d >> 1) & (kNumStates - 1);
+  }
+}
+
+BitVector LegacyViterbiDecodeSoft(std::span<const double> llrs) {
+  if (llrs.size() % 2 != 0) {
+    throw std::invalid_argument("Viterbi soft input must be even length");
+  }
+  const std::size_t steps = llrs.size() / 2;
+  if (steps == 0) return {};
+
+  constexpr double kInf = 1e30;
+  std::vector<double> metric(kNumStates, kInf);
+  std::vector<double> next_metric(kNumStates, kInf);
+  metric[0] = 0.0;
+  std::vector<std::uint8_t> decisions(steps * kNumStates);
+
+  struct Branch {
+    Bit a, b;
+  };
+  static const auto branch_table = [] {
+    std::array<std::array<Branch, 2>, kNumStates> t{};
+    for (int s = 0; s < kNumStates; ++s) {
+      for (int in = 0; in < 2; ++in) {
+        BranchOutputs(s, static_cast<Bit>(in), t[s][in].a, t[s][in].b);
+      }
+    }
+    return t;
+  }();
+
+  for (std::size_t t = 0; t < steps; ++t) {
+    const double la = llrs[2 * t];
+    const double lb = llrs[2 * t + 1];
+    std::fill(next_metric.begin(), next_metric.end(), kInf);
+    std::uint8_t* dec = &decisions[t * kNumStates];
+    for (int s = 0; s < kNumStates; ++s) {
+      const double m = metric[s];
+      if (m >= kInf) continue;
+      for (int in = 0; in < 2; ++in) {
+        const Branch& br = branch_table[s][in];
+        // Penalize disagreement between the branch bit and the LLR sign
+        // by the LLR magnitude (max-log metric).
+        double cost = m;
+        if ((la > 0.0) != (br.a == 1)) cost += std::abs(la);
+        if ((lb > 0.0) != (br.b == 1)) cost += std::abs(lb);
+        const int ns = ((s << 1) | in) & (kNumStates - 1);
+        if (cost < next_metric[ns]) {
+          next_metric[ns] = cost;
+          dec[ns] = static_cast<std::uint8_t>((s << 1) | in);
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+
+  BitVector info;
+  Traceback(decisions.data(), steps, metric.data(), info);
+  return info;
+}
+
+BitVector LegacyViterbiDecode(std::span<const Bit> coded_with_erasures) {
+  if (coded_with_erasures.size() % 2 != 0) {
+    throw std::invalid_argument("Viterbi input must be even length");
+  }
+  const std::size_t steps = coded_with_erasures.size() / 2;
+  if (steps == 0) return {};
+
+  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max() / 2;
+  std::vector<std::uint32_t> metric(kNumStates, kInf);
+  std::vector<std::uint32_t> next_metric(kNumStates, kInf);
+  metric[0] = 0;
+
+  // decisions[t][state] = input bit that led to `state` on the survivor.
+  // Stored packed as one byte per state for simple traceback.
+  std::vector<std::uint8_t> decisions(steps * kNumStates);
+
+  // Precompute branch outputs once.
+  struct Branch {
+    Bit a, b;
+  };
+  static const auto branch_table = [] {
+    std::array<std::array<Branch, 2>, kNumStates> t{};
+    for (int s = 0; s < kNumStates; ++s) {
+      for (int in = 0; in < 2; ++in) {
+        BranchOutputs(s, static_cast<Bit>(in), t[s][in].a, t[s][in].b);
+      }
+    }
+    return t;
+  }();
+
+  for (std::size_t t = 0; t < steps; ++t) {
+    const Bit ra = coded_with_erasures[2 * t];
+    const Bit rb = coded_with_erasures[2 * t + 1];
+    std::fill(next_metric.begin(), next_metric.end(), kInf);
+    std::uint8_t* dec = &decisions[t * kNumStates];
+    for (int s = 0; s < kNumStates; ++s) {
+      const std::uint32_t m = metric[s];
+      if (m >= kInf) continue;
+      for (int in = 0; in < 2; ++in) {
+        const Branch& br = branch_table[s][in];
+        std::uint32_t cost = m;
+        if (ra != 2 && br.a != ra) ++cost;
+        if (rb != 2 && br.b != rb) ++cost;
+        const int ns = ((s << 1) | in) & (kNumStates - 1);
+        if (cost < next_metric[ns]) {
+          next_metric[ns] = cost;
+          dec[ns] = static_cast<std::uint8_t>((s << 1) | in);
+          // dec packs: bits 6..1 = predecessor state, bit 0 = input.
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+
+  // Best final state (zero tail drives this to state 0 in practice).
+  BitVector info;
+  Traceback(decisions.data(), steps, metric.data(), info);
+  return info;
+}
+
+// --- Legacy preamble detector and its peak stage, verbatim. ---
+/// Peak/validation stage over the ncorr/win_energy arrays.
+Detection PickPairPeak(const double* ncorr, const double* win_energy,
+                       std::size_t positions, std::size_t rx_size,
+                       double threshold) {
+  // The LTF gives two adjacent full-symbol peaks 64 samples apart.
+  // Find the best position with a confirming peak at +64. Windows with
+  // non-positive energy have no defined normalized correlation — they
+  // are excluded rather than scanned as ncorr == 0 placeholders.
+  double best = 0.0;
+  std::size_t best_n = 0;
+  bool have_peak = false;
+  for (std::size_t n = 0; n + 64 < positions; ++n) {
+    if (win_energy[n] <= 0.0 || win_energy[n + 64] <= 0.0) continue;
+    const double pair = std::min(ncorr[n], ncorr[n + 64]);
+    if (pair > best) {
+      best = pair;
+      best_n = n;
+      have_peak = true;
+    }
+  }
+  // `have_peak` also rejects the all-zero/degenerate buffer at
+  // threshold <= 0: a correlation of exactly zero is never a packet.
+  if (!have_peak || best < threshold) return {};
+  // A frame whose SIGNAL symbol cannot fit inside the capture is
+  // undecodable — reject instead of handing downstream a start index
+  // past the buffer (truncated-capture bug class).
+  if (best_n + 2 * kFftSize + kSymbolLen > rx_size) return {};
+  return {true, best_n + 64};
+}
+
+Detection LegacyDetectPreamble(std::span<const Cplx> rx, double threshold) {
+  static const IqBuffer ltf = LongTrainingSymbol64();
+  static const double ltf_energy = [&] {
+    double e = 0.0;
+    for (const Cplx& x : ltf) e += std::norm(x);
+    return e;
+  }();
+
+  if (rx.size() < ltf.size() + 64) return {};
+
+  // Sliding window energy for normalization.
+  const std::size_t positions = rx.size() - ltf.size() + 1;
+  std::vector<double> win_energy(positions);
+  double acc = 0.0;
+  for (std::size_t n = 0; n < ltf.size(); ++n) acc += std::norm(rx[n]);
+  win_energy[0] = acc;
+  for (std::size_t n = 1; n < positions; ++n) {
+    acc += std::norm(rx[n + ltf.size() - 1]) - std::norm(rx[n - 1]);
+    win_energy[n] = acc;
+  }
+
+  std::vector<double> ncorr(positions, 0.0);
+  for (std::size_t n = 0; n < positions; ++n) {
+    if (win_energy[n] <= 0.0) continue;
+    Cplx c{0.0, 0.0};
+    for (std::size_t k = 0; k < ltf.size(); ++k) {
+      c += rx[n + k] * std::conj(ltf[k]);
+    }
+    ncorr[n] = std::abs(c) / std::sqrt(win_energy[n] * ltf_energy);
+  }
+
+  return PickPairPeak(ncorr.data(), win_energy.data(), positions, rx.size(),
+                      threshold);
+}
+
+// --- Legacy 802.11 ReceiveFrame and its allocating helpers, verbatim. ---
+constexpr std::size_t kServiceBits = 16;
+constexpr std::size_t kTailBits = 6;
+
+/// Decision-directed residual-phase tracker: first-order loop updated
+/// from the mean rotation of equalized points against their nearest
+/// constellation points. Symmetric under the constellation's rotational
+/// symmetry group, hence transparent to the tag's codeword translation.
+class PhaseTracker {
+ public:
+  PhaseTracker(bool enabled, Modulation mod) : enabled_(enabled), mod_(mod) {}
+
+  void Apply(IqBuffer& points) {
+    if (!enabled_) return;
+    const Cplx derot{std::cos(-phase_), std::sin(-phase_)};
+    for (auto& p : points) p *= derot;
+    // Residual rotation against hard decisions.
+    Cplx acc{0.0, 0.0};
+    const BitVector hard = DemapSymbols(points, mod_);
+    const IqBuffer ref = MapBits(hard, mod_);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      acc += points[i] * std::conj(ref[i]);
+    }
+    if (std::norm(acc) < 1e-30) return;
+    // Clamp the per-symbol step: residual CFO drifts a few tens of
+    // millirad per symbol; larger apparent jumps are decision noise
+    // (e.g. the corrupted symbol at a tag window boundary).
+    const double alpha = std::clamp(std::arg(acc), -0.3, 0.3);
+    phase_ += alpha;
+  }
+
+ private:
+  bool enabled_;
+  Modulation mod_;
+  double phase_ = 0.0;
+};
+
+/// Equalized data-subcarrier points of one symbol (allocating form).
+IqBuffer DemodSymbolPoints(std::span<const Cplx> symbol80,
+                           std::span<const Cplx> channel,
+                           std::size_t symbol_index, const RxConfig& config,
+                           IqBuffer* constellation_out, PhaseTracker* tracker) {
+  IqBuffer bins = DemodulateSymbol(symbol80);
+  IqBuffer data = ExtractDataSubcarriers(bins, channel);
+  if (config.pilot_phase_correction) {
+    const double cpe = PilotPhaseError(bins, channel, symbol_index);
+    const Cplx derot{std::cos(-cpe), std::sin(-cpe)};
+    for (auto& x : data) x *= derot;
+  }
+  if (tracker != nullptr) tracker->Apply(data);
+  if (constellation_out != nullptr) {
+    constellation_out->insert(constellation_out->end(), data.begin(), data.end());
+  }
+  return data;
+}
+
+/// Decode one symbol's worth of interleaved coded bits (hard decision).
+BitVector DemodSymbolBits(std::span<const Cplx> symbol80,
+                          std::span<const Cplx> channel, const RateParams& params,
+                          std::size_t symbol_index, const RxConfig& config,
+                          IqBuffer* constellation_out) {
+  const IqBuffer data = DemodSymbolPoints(symbol80, channel, symbol_index,
+                                          config, constellation_out, nullptr);
+  const BitVector hard = DemapSymbols(data, params.modulation);
+  return DeinterleaveSymbol(hard, params);
+}
+
+/// CFO estimate from the periodicity of a training region: the phase
+/// of the lag-`period` autocorrelation advances by 2π·f·period/fs.
+double EstimateCfoHz(std::span<const Cplx> region, std::size_t period) {
+  Cplx acc{0.0, 0.0};
+  for (std::size_t n = 0; n + period < region.size(); ++n) {
+    acc += region[n + period] * std::conj(region[n]);
+  }
+  if (std::norm(acc) < 1e-30) return 0.0;
+  return std::arg(acc) * kSampleRateHz / (kTwoPi * static_cast<double>(period));
+}
+
+struct SignalInfo {
+  bool ok = false;
+  Rate rate = Rate::k6Mbps;
+  std::size_t length = 0;
+};
+
+SignalInfo ParseSignal(std::span<const Bit> bits24) {
+  SignalInfo info;
+  std::uint8_t rate_bits = 0;
+  for (int i = 0; i < 4; ++i) {
+    rate_bits = static_cast<std::uint8_t>((rate_bits << 1) | bits24[i]);
+  }
+  const auto rate = RateFromSignalBits(rate_bits);
+  if (!rate.has_value()) return info;
+  if (bits24[4] != 0) return info;  // reserved bit
+  std::size_t length = 0;
+  for (int i = 0; i < 12; ++i) {
+    length |= static_cast<std::size_t>(bits24[5 + i]) << i;
+  }
+  Bit parity = 0;
+  for (int i = 0; i < 17; ++i) parity ^= bits24[i];
+  if (parity != bits24[17]) return info;
+  if (length == 0) return info;
+  info.ok = true;
+  info.rate = *rate;
+  info.length = length;
+  return info;
+}
+
+RxResult LegacyReceiveFrame(const IqBuffer& raw_rx,
+                            const RxConfig& config = {}) {
+  RxResult result;
+
+  Detection det = LegacyDetectPreamble(raw_rx, config.detection_threshold);
+  if (!det.found) return result;
+  result.detected = true;
+  result.start_index = det.second_ltf_start - 64;
+
+  // CFO estimation and correction on the preamble, then re-detect for
+  // exact timing on the corrected buffer.
+  IqBuffer rx = raw_rx;
+  if (config.cfo_correction) {
+    double cfo = 0.0;
+    // Coarse: STF region (160 samples ending 160 before the LTF).
+    if (result.start_index >= 192) {
+      cfo += EstimateCfoHz(
+          std::span<const Cplx>(rx).subspan(result.start_index - 184, 144), 16);
+      rx = dsp::MixFrequency(rx, -cfo, kSampleRateHz);
+    }
+    // Fine: the two LTF symbols, period 64.
+    cfo += EstimateCfoHz(
+        std::span<const Cplx>(rx).subspan(result.start_index, 128), 64);
+    rx = dsp::MixFrequency(raw_rx, -cfo, kSampleRateHz);
+    result.cfo_hz = cfo;
+    det = LegacyDetectPreamble(rx, config.detection_threshold);
+    if (!det.found) return result;
+    result.start_index = det.second_ltf_start - 64;
+  }
+
+  // Channel estimation over both long training symbols.
+  IqBuffer h(kFftSize, Cplx{0.0, 0.0});
+  {
+    IqBuffer y1(rx.begin() + static_cast<std::ptrdiff_t>(result.start_index),
+                rx.begin() + static_cast<std::ptrdiff_t>(result.start_index) + 64);
+    IqBuffer y2(rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start),
+                rx.begin() + static_cast<std::ptrdiff_t>(det.second_ltf_start) + 64);
+    dsp::Fft(y1);
+    dsp::Fft(y2);
+    for (int s = -26; s <= 26; ++s) {
+      const Cplx l = LtfSymbolAt(s);
+      if (std::norm(l) < 0.5) continue;
+      const std::size_t bin = BinIndex(s);
+      // H absorbs the TX time-domain scale and the channel gain, so
+      // equalized data points land on the unit constellation grid.
+      h[bin] = 0.5 * (y1[bin] + y2[bin]) / l;
+    }
+  }
+
+  // SIGNAL symbol.
+  const std::size_t signal_start = det.second_ltf_start + 64;
+  if (signal_start + kSymbolLen > rx.size()) return result;
+  const BitVector signal_coded = DemodSymbolBits(
+      std::span<const Cplx>(rx).subspan(signal_start, kSymbolLen), h,
+      ParamsFor(Rate::k6Mbps), 0, RxConfig{}, nullptr);
+  const BitVector signal_bits = LegacyViterbiDecode(signal_coded);
+  const SignalInfo info = ParseSignal(signal_bits);
+  if (!info.ok) return result;
+  result.signal_ok = true;
+  result.rate = info.rate;
+  result.psdu_len = info.length;
+
+  const auto& params = ParamsFor(info.rate);
+  const std::size_t payload_bits = kServiceBits + info.length * 8 + kTailBits;
+  const std::size_t num_symbols =
+      (payload_bits + params.data_bits_per_symbol - 1) /
+      params.data_bits_per_symbol;
+  result.num_data_symbols = num_symbols;
+
+  const std::size_t data_start = signal_start + kSymbolLen;
+  if (data_start + num_symbols * kSymbolLen > rx.size()) {
+    result.signal_ok = false;  // truncated capture
+    return result;
+  }
+
+  // RSSI over the frame extent.
+  result.rssi_dbm = dsp::PowerDbm(std::span<const Cplx>(rx).subspan(
+      result.start_index, data_start + num_symbols * kSymbolLen - result.start_index));
+
+  // Demodulate all data symbols, then depuncture and Viterbi-decode
+  // (hard or soft per the configuration).
+  const std::size_t info_bits = num_symbols * params.data_bits_per_symbol;
+  IqBuffer* constellation =
+      config.collect_constellation ? &result.constellation : nullptr;
+  BitVector scrambled;
+  PhaseTracker tracker(config.decision_directed_tracking, params.modulation);
+  if (config.soft_decision) {
+    std::vector<double> coded;
+    coded.reserve(num_symbols * params.coded_bits_per_symbol);
+    for (std::size_t s = 0; s < num_symbols; ++s) {
+      const IqBuffer points = DemodSymbolPoints(
+          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
+                                            kSymbolLen),
+          h, s + 1, config, constellation, &tracker);
+      const std::vector<double> llrs = DemapSoft(points, params.modulation);
+      const std::vector<double> deint = DeinterleaveSymbolSoft(llrs, params);
+      coded.insert(coded.end(), deint.begin(), deint.end());
+    }
+    const std::vector<double> mother =
+        DepunctureSoft(coded, params.coding, info_bits * 2);
+    scrambled = LegacyViterbiDecodeSoft(mother);
+  } else {
+    BitVector coded;
+    coded.reserve(num_symbols * params.coded_bits_per_symbol);
+    for (std::size_t s = 0; s < num_symbols; ++s) {
+      const IqBuffer points = DemodSymbolPoints(
+          std::span<const Cplx>(rx).subspan(data_start + s * kSymbolLen,
+                                            kSymbolLen),
+          h, s + 1, config, constellation, &tracker);
+      const BitVector hard = DemapSymbols(points, params.modulation);
+      const BitVector sym_bits = DeinterleaveSymbol(hard, params);
+      coded.insert(coded.end(), sym_bits.begin(), sym_bits.end());
+    }
+    const BitVector mother = Depuncture(coded, params.coding, info_bits * 2);
+    scrambled = LegacyViterbiDecode(mother);
+  }
+
+  result.scrambler_seed =
+      RecoverScramblerSeed(std::span<const Bit>(scrambled).subspan(0, 7));
+  if (result.scrambler_seed == 0) {
+    // SERVICE corrupted beyond seed recovery; return raw bits unscrambled.
+    result.data_bits = scrambled;
+    return result;
+  }
+  Scrambler descrambler(result.scrambler_seed);
+  result.data_bits = descrambler.Process(scrambled);
+
+  // Zero the (known-zero) tail bits so streams compare cleanly.
+  const std::size_t tail_pos = kServiceBits + info.length * 8;
+  for (std::size_t i = 0; i < kTailBits && tail_pos + i < result.data_bits.size();
+       ++i) {
+    result.data_bits[tail_pos + i] = 0;
+  }
+
+  // Extract PSDU and check FCS.
+  result.psdu = BitsToBytes(
+      std::span<const Bit>(result.data_bits).subspan(kServiceBits, info.length * 8));
+  if (info.length >= 5) {
+    std::uint32_t fcs = 0;
+    for (int i = 0; i < 4; ++i) {
+      fcs |= static_cast<std::uint32_t>(result.psdu[info.length - 4 + i]) << (8 * i);
+    }
+    const std::uint32_t computed = Crc32(
+        std::span<const std::uint8_t>(result.psdu).subspan(0, info.length - 4));
+    result.fcs_ok = (fcs == computed);
+  }
+  return result;
+}
 
 constexpr CodingRate kRates[] = {CodingRate::kHalf, CodingRate::kTwoThirds,
                                  CodingRate::kThreeQuarters};
@@ -62,7 +556,7 @@ TEST(FastViterbiTest, HardMatchesScalarAcrossRatesAndLengths) {
       Rng rng(1000 + len);
       const BitVector coded =
           NoisyDepuncturedStream(rng, len, rate, 0.05);
-      const BitVector ref = ViterbiDecodeScalar(coded);
+      const BitVector ref = LegacyViterbiDecode(coded);
       BitVector fast;
       ViterbiDecodeInto(coded, decisions, fast);
       ASSERT_EQ(ref, fast) << "rate=" << static_cast<int>(rate)
@@ -77,7 +571,7 @@ TEST(FastViterbiTest, HardMatchesScalarLongFramesManySeeds) {
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
       Rng rng(seed * 31 + 7);
       const BitVector coded = NoisyDepuncturedStream(rng, 1000, rate, 0.08);
-      const BitVector ref = ViterbiDecodeScalar(coded);
+      const BitVector ref = LegacyViterbiDecode(coded);
       BitVector fast;
       ViterbiDecodeInto(coded, decisions, fast);
       ASSERT_EQ(ref, fast) << "rate=" << static_cast<int>(rate)
@@ -95,7 +589,7 @@ TEST(FastViterbiTest, HardMatchesScalarWithErasuresAtEveryPhase) {
     Rng rng(500 + phase);
     BitVector coded = NoisyDepuncturedStream(rng, 120, CodingRate::kHalf, 0.1);
     for (std::size_t i = phase; i < coded.size(); i += 12) coded[i] = 2;
-    const BitVector ref = ViterbiDecodeScalar(coded);
+    const BitVector ref = LegacyViterbiDecode(coded);
     BitVector fast;
     ViterbiDecodeInto(coded, decisions, fast);
     ASSERT_EQ(ref, fast) << "phase=" << phase;
@@ -117,7 +611,7 @@ TEST(FastViterbiTest, SoftMatchesScalarAcrossRatesAndLengths) {
       }
       const std::vector<double> llrs =
           DepunctureSoft(noisy, rate, mother.size());
-      const BitVector ref = ViterbiDecodeSoftScalar(llrs);
+      const BitVector ref = LegacyViterbiDecodeSoft(llrs);
       BitVector fast;
       ViterbiDecodeSoftInto(llrs, decisions, fast);
       ASSERT_EQ(ref, fast) << "rate=" << static_cast<int>(rate)
@@ -137,7 +631,7 @@ TEST(FastViterbiTest, SoftMatchesScalarLongFramesManySeeds) {
     for (Bit b : coded) {
       llrs.push_back((b ? 1.0 : -1.0) + 1.2 * rng.NextGaussian());
     }
-    const BitVector ref = ViterbiDecodeSoftScalar(llrs);
+    const BitVector ref = LegacyViterbiDecodeSoft(llrs);
     BitVector fast;
     ViterbiDecodeSoftInto(llrs, decisions, fast);
     ASSERT_EQ(ref, fast) << "seed=" << seed;
@@ -177,9 +671,12 @@ TEST(FastCorrelationTest, BlockedKernelMatchesSinglePosition) {
 
 IqBuffer NoisyCapture(std::uint64_t seed, double rx_power_dbm,
                       std::size_t payload_len = 40,
-                      std::size_t pad_front = 321) {
+                      std::size_t pad_front = 321,
+                      Rate rate = Rate::k6Mbps) {
   Rng rng(seed);
-  const TxFrame frame = BuildFrame(RandomBytes(rng, payload_len), {});
+  TxConfig tx;
+  tx.rate = rate;
+  const TxFrame frame = BuildFrame(RandomBytes(rng, payload_len), tx);
   channel::ReceiverFrontEnd fe;
   fe.sample_rate_hz = kSampleRateHz;
   fe.noise_figure_db = 5.0;
@@ -201,8 +698,8 @@ TEST(FastDetectTest, DetectionMatchesScalarAcrossSnrs) {
   for (double dbm = -55.0; dbm >= -100.0; dbm -= 5.0) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       const IqBuffer rx = NoisyCapture(seed, dbm);
-      const Detection ref = DetectPreambleScalar(rx, 0.55);
-      const Detection fast = DetectPreambleFast(rx, 0.55, ws);
+      const Detection ref = LegacyDetectPreamble(rx, 0.55);
+      const Detection fast = DetectPreamble(rx, 0.55, ws);
       ASSERT_EQ(ref.found, fast.found) << "dbm=" << dbm << " seed=" << seed;
       ASSERT_EQ(ref.second_ltf_start, fast.second_ltf_start)
           << "dbm=" << dbm << " seed=" << seed;
@@ -236,25 +733,53 @@ void ExpectSameResult(const RxResult& ref, const RxResult& fast,
   }
 }
 
-TEST(FastRxChainTest, FullChainMatchesScalarAcrossSnrs) {
-  for (double dbm : {-60.0, -75.0, -85.0, -92.0}) {
-    for (std::uint64_t seed = 10; seed < 13; ++seed) {
-      const IqBuffer rx = NoisyCapture(seed, dbm, 100);
-      const RxResult ref = ReceiveFrameScalar(rx);
-      dsp::Workspace ws;
-      RxResult fast;
-      ReceiveFrame(rx, {}, ws, fast);
-      ExpectSameResult(ref, fast, "default config");
+constexpr Rate kAllRates[] = {Rate::k6Mbps,  Rate::k9Mbps,  Rate::k12Mbps,
+                              Rate::k18Mbps, Rate::k24Mbps, Rate::k36Mbps,
+                              Rate::k48Mbps, Rate::k54Mbps};
 
-      RxConfig soft;
-      soft.soft_decision = true;
-      soft.collect_constellation = true;
-      const RxResult ref_soft = ReceiveFrameScalar(rx, soft);
-      RxResult fast_soft;
-      ReceiveFrame(rx, soft, ws, fast_soft);
-      ExpectSameResult(ref_soft, fast_soft, "soft+constellation");
+// Hard decode with the default config, then soft decode with the
+// constellation recorded, each compared field by field.
+void ExpectChainsAgree(const IqBuffer& rx, dsp::Workspace& ws,
+                       const std::string& what) {
+  RxResult fast;
+  ReceiveFrame(rx, {}, ws, fast);
+  ExpectSameResult(LegacyReceiveFrame(rx), fast, (what + " hard").c_str());
+
+  RxConfig soft;
+  soft.soft_decision = true;
+  soft.collect_constellation = true;
+  RxResult fast_soft;
+  ReceiveFrame(rx, soft, ws, fast_soft);
+  ExpectSameResult(LegacyReceiveFrame(rx, soft), fast_soft,
+                   (what + " soft+constellation").c_str());
+}
+
+TEST(FastRxChainTest, FullChainMatchesScalarAcrossSnrs) {
+  // Every rate: the SIGNAL field, puncturing (2/3 at 48, 3/4 at
+  // 9/18/36/54 Mbps) and each constellation's demapper and tracker.
+  dsp::Workspace ws;
+  for (Rate rate : kAllRates) {
+    for (double dbm : {-60.0, -75.0, -85.0, -92.0}) {
+      for (std::uint64_t seed = 10; seed < 13; ++seed) {
+        const IqBuffer rx = NoisyCapture(seed, dbm, 100, 321, rate);
+        std::ostringstream what;
+        what << "rate=" << static_cast<int>(rate) << " dbm=" << dbm
+             << " seed=" << seed;
+        ExpectChainsAgree(rx, ws, what.str());
+      }
     }
   }
+
+  // A +60 kHz offset (about 25 ppm at 2.4 GHz) drives the coarse STF
+  // estimate, the in-place mix and the re-detect on the corrected
+  // buffer; the recovered offset shows the correction really ran.
+  const IqBuffer shifted = dsp::MixFrequency(NoisyCapture(14, -62.0, 100),
+                                             60e3, kSampleRateHz);
+  ExpectChainsAgree(shifted, ws, "cfo +60 kHz");
+  RxResult result;
+  ReceiveFrame(shifted, {}, ws, result);
+  EXPECT_TRUE(result.fcs_ok);
+  EXPECT_NEAR(result.cfo_hz, 60e3, 2e3);
 }
 
 TEST(FastRxChainTest, WorkspaceReuseIsBitIdentical) {
@@ -284,8 +809,8 @@ TEST(FastDetectTest, AllZeroBufferNeverDetects) {
   const IqBuffer zeros(1024, Cplx{0.0, 0.0});
   dsp::Workspace ws;
   for (double threshold : {0.55, 0.0, -1.0}) {
-    EXPECT_FALSE(DetectPreambleScalar(zeros, threshold).found);
-    EXPECT_FALSE(DetectPreambleFast(zeros, threshold, ws).found);
+    EXPECT_FALSE(LegacyDetectPreamble(zeros, threshold).found);
+    EXPECT_FALSE(DetectPreamble(zeros, threshold, ws).found);
   }
 }
 
@@ -293,8 +818,8 @@ TEST(FastDetectTest, TooShortBufferNeverDetects) {
   dsp::Workspace ws;
   for (std::size_t n = 0; n < 128; ++n) {
     const IqBuffer rx(n, Cplx{0.1, -0.2});
-    EXPECT_FALSE(DetectPreambleScalar(rx, 0.0).found) << n;
-    EXPECT_FALSE(DetectPreambleFast(rx, 0.0, ws).found) << n;
+    EXPECT_FALSE(LegacyDetectPreamble(rx, 0.0).found) << n;
+    EXPECT_FALSE(DetectPreamble(rx, 0.0, ws).found) << n;
   }
 }
 
@@ -310,8 +835,8 @@ TEST(FastDetectTest, TruncatedCaptureRejectedByBothPaths) {
                  frame.waveform.begin() +
                      static_cast<std::ptrdiff_t>(
                          std::min(keep, frame.waveform.size())));
-    const Detection ref = DetectPreambleScalar(cut, 0.55);
-    const Detection fast = DetectPreambleFast(cut, 0.55, ws);
+    const Detection ref = LegacyDetectPreamble(cut, 0.55);
+    const Detection fast = DetectPreamble(cut, 0.55, ws);
     EXPECT_EQ(ref.found, fast.found) << keep;
     EXPECT_EQ(ref.second_ltf_start, fast.second_ltf_start) << keep;
     if (ref.found) {
@@ -328,11 +853,11 @@ TEST(FastDetectTest, ZeroPaddedTailDoesNotShiftDetection) {
   IqBuffer padded = rx;
   padded.resize(padded.size() + 333, Cplx{0.0, 0.0});
   dsp::Workspace ws;
-  const Detection base = DetectPreambleFast(rx, 0.55, ws);
-  const Detection tail = DetectPreambleFast(padded, 0.55, ws);
+  const Detection base = DetectPreamble(rx, 0.55, ws);
+  const Detection tail = DetectPreamble(padded, 0.55, ws);
   ASSERT_TRUE(base.found);
   EXPECT_EQ(base.second_ltf_start, tail.second_ltf_start);
-  const Detection scalar_tail = DetectPreambleScalar(padded, 0.55);
+  const Detection scalar_tail = LegacyDetectPreamble(padded, 0.55);
   EXPECT_EQ(scalar_tail.found, tail.found);
   EXPECT_EQ(scalar_tail.second_ltf_start, tail.second_ltf_start);
 }

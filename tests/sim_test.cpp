@@ -96,6 +96,56 @@ TEST(Sweep, ThroughputDecaysWithDistance) {
   EXPECT_GT(points[0].stats.tag_throughput_bps, 40e3);
 }
 
+// Fig. 10/11's seeds and deployments with fewer points and packets,
+// one line of SerializeLinkStats per point. The marginal points (46 m
+// LOS, 22 m NLOS) sit at the sensitivity floor, so every 802.11 RX stage
+// (preamble detection, CFO correction, equalization, Viterbi) leaves its
+// mark on these bytes.
+std::string WifiSweepDigest() {
+  std::string digest;
+  const auto append = [&digest](const std::vector<DistancePoint>& points) {
+    for (const DistancePoint& p : points) {
+      digest += SerializeLinkStats(p.stats);
+      digest += '\n';
+    }
+  };
+  append(DistanceSweep(core::RadioType::kWifi, channel::LosDeployment(1.0),
+                       {1, 18, 30, 42, 46}, 6, 101));
+  append(DistanceSweep(core::RadioType::kWifi, channel::NlosDeployment(1.0),
+                       {2, 14, 22}, 6, 111));
+  return digest;
+}
+
+// Pinned verbatim: recorded when the receiver still had a scalar twin
+// chain, on which both chains gave these bytes.
+TEST(Sweep, WifiSweepDigestIsPinned) {
+  EXPECT_EQ(WifiSweepDigest(),
+            "1 6 6 0x1p+0 0x0p+0 0x1.c4ccf47c038b2p+15 "
+            "-0x1.ef78670766a93p+5 0x1.088ebee576182p+5 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 6 0x1p+0 0x0p+0 0x1.c4ccf47c038b2p+15 "
+            "-0x1.58c8f98e8e145p+6 0x1.270653f00078p+3 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 2 0x1.5555555555555p-2 0x0p+0 0x1.3f8f14f14f14fp+14 "
+            "-0x1.5ff0f3a55d59bp+6 0x1.40480703c3dfp+2 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 6 0x1p+0 0x0p+0 0x1.be0ad9e8f8072p+14 "
+            "-0x1.6868aafb6f42dp+6 0x1.1d2de8a7ffp+1 "
+            "8 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 2 0x1.5555555555555p-2 0x0p+0 0x1.3f8f14f14f14fp+14 "
+            "-0x1.681647f59a91ap+6 0x1.7a306a063284p+0 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 6 0x1p+0 0x0p+0 0x1.c4ccf47c038b2p+15 "
+            "-0x1.1d4015848406cp+6 0x1.70c91d37cece4p+4 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 6 0x1p+0 0x1.460cbc7f5cf9ap-4 0x1.7955766758494p+15 "
+            "-0x1.66a6d49f321c9p+6 0x1.896abb145b4fp+2 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n"
+            "1 6 3 0x1p-1 0x0p+0 0x1.d86aa0cf049efp+14 "
+            "-0x1.6c6fcf4e2350dp+6 0x1.1c51cd8bfb0ep+1 "
+            "4 0 0 0 0 0 0 0 0 0 0 \n");
+}
+
 TEST(Sweep, RangeSweepOrdersRadiosLikePaper) {
   // Fig. 14: WiFi reaches farthest, then ZigBee, then Bluetooth.
   const std::vector<double> d1 = {1.0};

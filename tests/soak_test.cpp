@@ -151,6 +151,27 @@ TEST(SoakTest, BrokenCampaignDigestIsPinned) {
             "goodput=0x1.b38d7e23e37e8p+4\n");
 }
 
+// Every receiver hole skip is a strict-mode violation, including one
+// the ledger consumes while checking the same round's post-skip flush
+// (the in-order frames released right behind the skipped seq).
+TEST(SoakTest, StrictModeFlagsEveryHoleSkip) {
+  sim::SoakConfig config;
+  config.seed = 3;
+  config.num_tags = 4;
+  config.rounds = 80;
+  config.drain_rounds = 40;
+  config.transport.hole_skip_rounds = 12;
+  sim::SoakSegment lossy;
+  lossy.impairments.dropout.enabled = true;
+  lossy.impairments.dropout.dropout_probability = 0.5;
+  config.schedule = {lossy};
+  const sim::SoakResult result = sim::RunSoak(config);
+  std::size_t skips = 0;
+  for (const auto& v : result.violations) skips += v.kind == "skip";
+  ASSERT_GT(result.stats.transport_holes_skipped, 0u);
+  EXPECT_EQ(skips, result.stats.transport_holes_skipped);
+}
+
 TEST(SoakTest, NonStrictModeToleratesGiveUps) {
   sim::SoakConfig config = BrokenConfig();
   config.strict = false;
